@@ -8,6 +8,7 @@ order) that are set to true.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -94,10 +95,10 @@ def build_circuit(
     for i in range(1, n + 1):
         for p in pin[i]:
             succ[p].append(i)
-    queue = sorted(i for i in range(1, n + 1) if indeg[i] == 0)
+    queue = deque(sorted(i for i in range(1, n + 1) if indeg[i] == 0))
     topo: list[int] = []
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         topo.append(v)
         for s in succ[v]:
             indeg[s] -= 1

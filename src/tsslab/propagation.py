@@ -128,6 +128,10 @@ class Propagator:
     def is_full(self) -> bool:
         return len(self._active) == self.n
 
+    def activated_since(self, token: tuple[int, int]) -> list[int]:
+        """Vertices activated since `token`, in activation order."""
+        return self._active[token[0] :]
+
     def active_set(self) -> frozenset[int]:
         return frozenset(self._active)
 

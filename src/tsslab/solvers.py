@@ -9,21 +9,36 @@ reaches the problem's hard value bound, and can partition the first-vertex
 blocks of each cardinality across worker processes without changing any
 reported field.
 
-Minimum-influence scans also prune by a monotone bound: a prefix's closure
-only grows as seeds are added, so a subtree whose prefix already closes to
-at least the incumbent value (less the seed size in open mode) holds no
-strictly better seed and is skipped.  The incumbent a block starts from
-is fixed before the block runs (the best value once the cardinality's
-first block is done), so `explored`, the number of seed sets evaluated,
-is the same for any thread count.
+Target-set and maximum-influence scans skip dominated subtrees.  At a
+node with prefix P, once the child v at universe index i has been searched
+in full without reaching the stop value, every later candidate w (index
+j > i) in cl(P + v), including any w already active in cl(P), is dominated:
+for each completion R drawn after w, P + v + R has the same size, lies in
+v's subtree and closes to a superset of cl(P + w + R), because closure is
+monotone and idempotent.  So w's subtree holds no target set and no seed
+worth more than one already seen (ties keep the earlier seed), and is
+skipped.  Such a subtree is counted at its full size, so `explored` stays
+the lexicographic rank of the seed where the scan stopped, or the full
+count when it does not stop, for any thread count.  Without a pool a
+cardinality is one recursion, so the rule acts at the first level too.
+
+Minimum-influence scans, where that inequality points the wrong way,
+prune by a monotone bound instead: a prefix's closure only grows as seeds
+are added, so a subtree whose prefix already closes to at least the
+incumbent value (less the seed size in open mode) holds no strictly better
+seed and is skipped.  The incumbent a block starts from is fixed before
+the block runs (the best value once the cardinality's first block is
+done), so `explored`, which there counts the seed sets evaluated, is the
+same for any thread count.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from collections import deque
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .instance import Instance
 from .propagation import Propagator
@@ -37,8 +52,11 @@ class SolveResult:
 
     `value` is the target-set size or influence value; `optimal` is set only
     when an exhaustive search finished (or provably found the optimum);
-    `explored` counts the seed sets actually evaluated.  `seed` is None when
-    a capped search exhausted its cap without a feasible set.
+    `explored` counts the seed sets the search ruled on: the lexicographic
+    rank of the stopping seed for target-set and maximum-influence scans,
+    the seed sets evaluated for minimum-influence scans (see the module
+    docstring).  `seed` is None when a capped search exhausted its cap
+    without a feasible set.
     """
 
     problem: str
@@ -52,9 +70,10 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# Scan kernels.  A "block" is the set of all size-c subsets of `universe`
-# that start at universe[first]; blocks in index order concatenate to the
-# full lexicographic enumeration of size-c subsets.
+# Scan kernel.  A "block" is the set of all size-c subsets of `universe`
+# whose first element is universe[i] for some i in [first, last); blocks in
+# index order concatenate to the full lexicographic enumeration of size-c
+# subsets.
 
 _WORKER_INST: Instance | None = None
 
@@ -64,130 +83,105 @@ def _pool_init(inst: Instance) -> None:
     _WORKER_INST = inst
 
 
-def _influence_block(
+def _scan_block(
     args: tuple,
 ) -> tuple[int | None, tuple[int, ...] | None, int, bool]:
     """Scan one block for the best influence value.
 
     Returns (best_value, best_seed, seeds_scanned, stopped_at_bound); the
     scan stops early only when `stop_value` is reached, which no later seed
-    in the enumeration could beat or tie-break.  A min-goal scan given an
-    `incumbent` value reports only seeds strictly below it ((None, None, ...)
-    if there are none) and skips every prefix whose closure already reaches
-    the running best, since adding seeds never shrinks a closure.
+    in the enumeration could beat or tie-break.  `seeds_scanned` is the
+    block's lexicographic count up to that seed (all of it if none stops),
+    with every skipped subtree counted at its full size.
+
+    A max-goal scan skips dominated subtrees (see the module docstring).  A
+    min-goal scan given an `incumbent` value reports only seeds strictly
+    below it ((None, None, ...) if there are none) and skips every prefix
+    whose closure already reaches the running best, since adding seeds
+    never shrinks a closure.
     """
-    inst, universe, c, first, mode, goal, stop_value, incumbent = args
+    inst, universe, c, first, last, closed, maximize, stop_value, incumbent = args
     prop = Propagator(inst if inst is not None else _WORKER_INST)
-    closed = mode == "closed"
-    maximize = goal == "max"
     offset = 0 if closed else c
     best_v: int | None = incumbent
     best_seed: tuple[int, ...] | None = None
     scanned = 0
-    stopped = False
     u = len(universe)
     combo: list[int] = []
+    # dominated[need - 1][w] == node: w is dominated at the open node of
+    # that depth; node ids are never reused, so stale stamps never match.
+    dominated = [[0] * (prop.n + 1) for _ in range(c)] if maximize else []
+    nodes = 0
 
-    def leaf_value() -> int:
-        a = prop.active_count()
-        return a if closed else a - c
-
-    def rec(lo: int, need: int) -> bool:
-        nonlocal best_v, best_seed, scanned, stopped
+    def rec(lo: int, hi: int, need: int) -> bool:
+        nonlocal best_v, best_seed, scanned, nodes
         if need == 0:
             scanned += 1
-            val = leaf_value()
+            val = prop.active_count() - offset
             if best_v is None or (val > best_v if maximize else val < best_v):
                 best_v = val
                 best_seed = tuple(combo)
-            if stop_value is not None and val == stop_value:
-                stopped = True
-                return True
+            return val == stop_value
+        if maximize:
+            nodes += 1
+            node = nodes
+            dom = dominated[need - 1]
+        elif best_v is not None and prop.active_count() - offset >= best_v:
             return False
-        if not maximize and best_v is not None and prop.active_count() - offset >= best_v:
-            return False
-        for i in range(lo, u - need + 1):
+        for i in range(lo, hi):
             v = universe[i]
+            if maximize and dom[v] == node:
+                scanned += comb(u - i - 1, need - 1)
+                continue
             token = prop.push_one(v)
             combo.append(v)
-            halt = rec(i + 1, need - 1)
+            halt = rec(i + 1, u - need + 2, need - 1)
             combo.pop()
+            if maximize and not halt:
+                # What v activated is now dominated; after the first child,
+                # stamp all of cl(prefix + v) so cl(prefix) is stamped too.
+                for w in prop.activated_since((0, 0) if i == lo else token):
+                    dom[w] = node
             prop.pop_to(token)
             if halt:
                 return True
         return False
 
-    prop.push_one(universe[first])
-    combo.append(universe[first])
-    rec(first + 1, c - 1)
+    stopped = rec(first, last, c)
     if best_seed is None:
         return None, None, scanned, stopped
     return best_v, best_seed, scanned, stopped
 
 
-def _target_block(args: tuple) -> tuple[tuple[int, ...] | None, int]:
-    """Scan one block for the first (lexicographic) target set.
-
-    When a prefix already activates everything, its lexicographically first
-    completion is the first target set in the block, so the scan may jump
-    straight to it.
-    """
-    inst, universe, c, first = args
-    prop = Propagator(inst if inst is not None else _WORKER_INST)
-    u = len(universe)
-    combo: list[int] = []
-    scanned = 0
-
-    def rec(lo: int, need: int) -> tuple[int, ...] | None:
-        nonlocal scanned
-        if need == 0:
-            scanned += 1
-            return tuple(combo) if prop.is_full() else None
-        if prop.is_full():
-            if lo + need <= u:
-                scanned += 1
-                return tuple(combo) + tuple(universe[lo : lo + need])
-            return None
-        for i in range(lo, u - need + 1):
-            v = universe[i]
-            token = prop.push_one(v)
-            combo.append(v)
-            winner = rec(i + 1, need - 1)
-            combo.pop()
-            prop.pop_to(token)
-            if winner is not None:
-                return winner
-        return None
-
-    prop.push_one(universe[first])
-    combo.append(universe[first])
-    return rec(first + 1, c - 1), scanned
+def _blocks(u: int, c: int, whole: bool) -> list[tuple[int, int]]:
+    """The size-c scan as one block, or as one block per first vertex."""
+    if whole:
+        return [(0, u - c + 1)]
+    return [(first, first + 1) for first in range(u - c + 1)]
 
 
-def _map_blocks(
-    inst: Instance,
-    tasks: list[tuple],
-    worker: Callable,
-    threads: int,
-    stop_field: Callable[[tuple], bool],
-):
-    """Run block tasks in order, sequentially or on a fork pool.
+def _map_blocks(inst: Instance, tasks: list[tuple], threads: int) -> list[tuple]:
+    """Run `_scan_block` tasks in order, sequentially or on a fork pool.
 
-    Yields reports in block order either way; with a pool, every block of
-    the batch is computed but reports after a stopping block are discarded
-    by the caller, so results cannot depend on the thread count.
+    Returns reports in block order.  Run sequentially, the list ends at the
+    first report that stopped at its bound; a pool computes every block and
+    the caller discards reports after a stopping one, so results cannot
+    depend on the thread count.  The pool is drained and joined before the
+    `with` block exits, whose terminate() can deadlock on a busy pool.
     """
     if threads <= 1 or len(tasks) <= 1:
+        reports = []
         for t in tasks:
-            report = worker((inst,) + t)
-            yield report
-            if stop_field(report):
-                return
-        return
+            reports.append(_scan_block((inst,) + t))
+            if reports[-1][3]:
+                break
+        return reports
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=threads, initializer=_pool_init, initargs=(inst,)) as pool:
-        for report in pool.imap(worker, [(None,) + t for t in tasks]):
-            yield report
+        reports = pool.map(_scan_block, [(None,) + t for t in tasks])
+        pool.close()
+        pool.join()
+    return reports
 
 
 def optimal_target_set(
@@ -199,6 +193,13 @@ def optimal_target_set(
     within a cardinality; the first target set found is returned.  If no
     target set of size <= size_cap exists the result carries no seed and
     optimal=False.
+
+    The scan is a closed max-influence scan that stops at value n, so it
+    skips dominated subtrees (see the module docstring): a candidate that
+    an earlier sibling activates, where that sibling's subtree held no
+    target set, cannot lead to one either.  `explored` is the lexicographic
+    rank of the returned seed (the full count when there is none), with
+    skipped subtrees counted at full size, for any `threads`.
     """
     n = inst.n
     cap = n if size_cap is None else min(size_cap, n)
@@ -212,15 +213,14 @@ def optimal_target_set(
                     "target-set", frozenset(), 0, True, explored
                 )
             continue
-        tasks = [(universe, c, first) for first in range(0, n - c + 1)]
-        for winner, scanned in _map_blocks(
-            inst, tasks, _target_block, threads, lambda r: r[0] is not None
-        ):
+        tasks = [
+            (universe, c, first, last, True, True, n, None)
+            for first, last in _blocks(n, c, threads <= 1)
+        ]
+        for _, seed, scanned, stopped in _map_blocks(inst, tasks, threads):
             explored += scanned
-            if winner is not None:
-                return SolveResult(
-                    "target-set", frozenset(winner), c, True, explored
-                )
+            if stopped:
+                return SolveResult("target-set", frozenset(seed), c, True, explored)
     return SolveResult("target-set", None, None, False, explored)
 
 
@@ -242,11 +242,16 @@ def k_influence(
     vertices seeds may use.  Refuses enumerations larger than
     `max_evaluations` seed sets (counted before any pruning).
 
-    Minimization runs each cardinality's first block alone and then the
-    remaining blocks from its best value, pruning by the monotone closure
-    bound (see the module docstring); values and witnesses are those of the
-    full enumeration, and `explored` counts the seed sets evaluated, which
-    does not depend on `threads`.
+    Maximization skips dominated subtrees: a candidate that an earlier
+    sibling activates, where that sibling's subtree never reached the stop
+    value, cannot lead to a seed worth more.  `explored` is then the
+    lexicographic rank of the seed where the scan stopped (the full count
+    if none), with skipped subtrees counted at full size.  Minimization runs each cardinality's
+    first block alone and then the remaining blocks from its best value,
+    pruning by the monotone closure bound, and `explored` counts the seed
+    sets evaluated.  Either way (see the module docstring) values and
+    witnesses are those of the full enumeration, and `explored` does not
+    depend on `threads`.
     """
     if mode not in ("open", "closed"):
         raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
@@ -296,19 +301,22 @@ def k_influence(
             if val == stop_value:
                 break
             continue
-        tasks = [(uni, c, first, mode, goal, stop_value) for first in range(len(uni) - c + 1)]
+        if maximize:
+            waves = [_blocks(len(uni), c, threads <= 1)]
+        else:
+            # The min goal's incumbent must not depend on which blocks
+            # finished first, so the first block runs alone and the rest
+            # start from it.
+            firsts = _blocks(len(uni), c, False)
+            waves = [firsts[:1], firsts[1:]]
         hit_bound = False
-        # The min goal's incumbent must not depend on which blocks finished
-        # first, so the first block runs alone and the rest start from it.
-        for wave in ([tasks] if maximize else [tasks[:1], tasks[1:]]):
+        for wave in waves:
             incumbent = None if maximize else best_v
-            for bv, bs, scanned, stopped in _map_blocks(
-                inst,
-                [t + (incumbent,) for t in wave],
-                _influence_block,
-                threads,
-                lambda r: r[3],
-            ):
+            tasks = [
+                (uni, c, first, last, mode == "closed", maximize, stop_value, incumbent)
+                for first, last in wave
+            ]
+            for bv, bs, scanned, stopped in _map_blocks(inst, tasks, threads):
                 explored += scanned
                 if bv is not None and (
                     best_v is None or (bv > best_v if maximize else bv < best_v)
@@ -399,9 +407,9 @@ def _components(inst: Instance) -> list[list[int]]:
             continue
         comp = [s]
         seen[s] = True
-        queue = [s]
+        queue = deque([s])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for w in inst.graph.neighbors(u):
                 if not seen[w]:
                     seen[w] = True
@@ -416,9 +424,9 @@ def _bfs_tree(inst: Instance, comp: list[int]) -> dict[int, set[int]]:
     tree: dict[int, set[int]] = {v: set() for v in comp}
     root = comp[0]
     seen = {root}
-    queue = [root]
+    queue = deque([root])
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for w in inst.graph.neighbors(u):
             if w not in seen:
                 seen.add(w)

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from tsslab.instance import GeneratorConfig, Graph, Instance, generate_random
+from tsslab.reductions import mcs_to_tss
 from tsslab.solvers import (
     greedy_target_set,
     k_influence,
@@ -14,6 +15,7 @@ from tsslab.solvers import (
 from tsslab.verify import (
     brute_force_best_influence,
     brute_force_min_target_set,
+    enumerate_small_circuits,
     naive_closure,
     naive_is_target_set,
     random_graph,
@@ -316,3 +318,83 @@ def test_unanimity_solver_agrees_with_search_at_scale():
         direct = min_open_influence_unanimity(inst, k)
         search = k_influence(inst, k, "open", "min")
         assert direct.value == search.value
+
+
+# dominance pruning against a plain lexicographic scan -----------------------
+
+
+def lex_scan(inst, universe, sizes, value, stop):
+    """Plain cardinality-major scan: (best value, its seed, seeds counted).
+
+    A seed replaces the best only when strictly larger; the scan ends at the
+    first seed whose value equals stop(c).  The count is the stopping seed's
+    lexicographic rank, or the full count when nothing stops.
+    """
+    best = seed = None
+    rank = 0
+    for c in sizes:
+        for combo in combinations(universe, c):
+            rank += 1
+            val = value(combo)
+            if best is None or val > best:
+                best, seed = val, frozenset(combo)
+            if val == stop(c):
+                return best, seed, rank
+    return best, seed, rank
+
+
+def check_target_scan(inst, cap, threads):
+    n = inst.n
+    full = lambda combo: int(len(naive_closure(inst, combo)) == n)
+    hit, seed, rank = lex_scan(inst, range(1, n + 1), range(min(cap, n) + 1), full, lambda c: 1)
+    res = optimal_target_set(inst, size_cap=cap, threads=threads)
+    if hit:
+        assert (res.value, res.seed, res.optimal) == (len(seed), seed, True)
+    else:
+        assert (res.value, res.seed, res.optimal) == (None, None, False)
+    assert res.explored == rank
+
+
+def check_max_scan(inst, k, mode, universe, threads, exact=False):
+    n = inst.n
+    uni = range(1, n + 1) if universe is None else sorted(universe)
+    sizes = [k] if exact else range(min(k, len(uni)) + 1)
+    off = (lambda c: 0) if mode == "closed" else (lambda c: c)
+    value = lambda combo: len(naive_closure(inst, combo)) - off(len(combo))
+    best, seed, rank = lex_scan(inst, uni, sizes, value, lambda c: n - off(c))
+    res = k_influence(inst, k, mode, "max", exact, universe=universe, threads=threads)
+    assert (res.value, res.seed, res.explored) == (best, seed, rank)
+
+
+def test_dominance_scans_match_lexicographic_scan():
+    rng = random.Random(53)
+    for trial in range(120):
+        inst = generate_random(
+            GeneratorConfig(
+                rng.randint(1, 9),
+                rng.uniform(0.1, 0.9),
+                rng.choice(("constant", "majority", "uniform")),
+                rng.randrange(2**32),
+                constant=rng.randint(1, 3),
+            )
+        )
+        threads = 2 if trial % 10 == 0 else 1
+        check_target_scan(inst, rng.randint(0, inst.n), threads)
+        universe = None
+        if rng.random() < 0.4:
+            universe = rng.sample(range(1, inst.n + 1), rng.randint(1, inst.n))
+        k = rng.randint(0, inst.n if universe is None else len(universe))
+        exact = rng.random() < 0.25
+        for mode in ("closed", "open"):
+            check_max_scan(inst, k, mode, universe, threads, exact)
+
+
+def test_dominance_scans_on_compiled_circuits():
+    # mcs_to_tss instances, where dominated subtrees are the common case.
+    circuits = [c for c in enumerate_small_circuits(2, 2) if c.n_inputs == 2]
+    for threads, circ in zip((1, 1, 2), circuits[::4]):
+        inst = mcs_to_tss(circ).instance
+        check_target_scan(inst, 2, threads)
+        check_max_scan(inst, 2, "open", None, threads)
+        universe = range(1, inst.n + 1, 2)
+        check_max_scan(inst, 2, "closed", universe, threads)
