@@ -195,7 +195,7 @@ class InstanceBuilder:
         ell: int | None = None,
         params: object | None = None,
     ) -> ReducedInstance:
-        inst = Instance(Graph(self.vertex_count, sorted(self._edges)), self._thr[1:])
+        inst = Instance(Graph(self.vertex_count, self._edges), self._thr[1:])
         return ReducedInstance(
             instance=inst,
             kind=kind,

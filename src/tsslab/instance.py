@@ -48,7 +48,9 @@ class Graph:
         self.n = n
         self.m = len(ordered)
         self.edges = ordered
-        self.adj = tuple(tuple(sorted(a)) for a in nbrs)
+        # Walking the sorted edges yields each list ascending: smaller
+        # neighbors arrive (in order) before the vertex's own edge block.
+        self.adj = tuple(map(tuple, nbrs))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -158,11 +160,10 @@ def generate_random(cfg: GeneratorConfig) -> Instance:
     """
     rng = random.Random(cfg.rng_seed)
     n, p = cfg.n, cfg.edge_probability
-    edges = []
+    rnd = rng.random
+    edges: list[tuple[int, int]] = []
     for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if rng.random() < p:
-                edges.append((u, v))
+        edges += [(u, v) for v in range(u + 1, n + 1) if rnd() < p]
     g = Graph(n, edges)
     thr = []
     for v in range(1, n + 1):

@@ -4,6 +4,11 @@ A vertex activates once at least thr(v) of its neighbors are active; rounds
 are synchronous, so every count in round i+1 is measured against the set
 active after round i.  The process is a closure operator: monotone in the
 seed, idempotent, and it reaches its fixpoint within |V| rounds.
+
+Every one-shot run (`activate`, `activate_round`, `is_target_set`,
+`influence`, `Propagator.run`) goes through one countdown kernel, `_rounds`.
+The `Propagator` journal serves only the exhaustive scans, which push and
+pop seeds around a shared prefix.
 """
 
 from __future__ import annotations
@@ -49,11 +54,11 @@ def _check_seed(inst: Instance, seed: Iterable[int]) -> list[int]:
 class Propagator:
     """Incremental activation engine bound to one immutable instance.
 
-    Keeps per-vertex active-neighbor counters and an activation stack so a
-    whole run costs O(n + m) and each push/pop pair costs O(work actually
-    done).  push_one/pop_to form an undo journal, which lets exhaustive
-    seed-set scans share the propagation work of common prefixes.  Not
-    thread-safe: use one Propagator per thread.
+    Keeps per-vertex active-neighbor counters and an activation stack so
+    each push/pop pair costs O(work actually done).  push_one/pop_to form an
+    undo journal, which lets exhaustive seed-set scans share the propagation
+    work of common prefixes; `run` is a one-shot cascade that bypasses the
+    journal.  Not thread-safe: use one Propagator per thread.
     """
 
     __slots__ = ("inst", "n", "_adj", "_thr", "_status", "_count", "_active", "_trail")
@@ -136,85 +141,66 @@ class Propagator:
         return frozenset(self._active)
 
     def run(self, seed: Iterable[int]) -> frozenset[int]:
-        """Fixpoint reached from `seed` on a clean engine."""
-        self.reset()
-        self.push(seed)
-        out = frozenset(self._active)
-        self.reset()
-        return out
+        """Fixpoint reached from `seed` alone, by the one-shot kernel.
 
-    def run_rounds(self, seed: Iterable[int]) -> list[list[int]]:
-        """Synchronous round structure: [seed, new-in-round-1, ...]."""
-        self.reset()
-        status = self._status
-        adj = self._adj
-        thr = self._thr
-        count = self._count
-        active = self._active
-        trail = self._trail
-        frontier = []
-        for v in sorted(set(seed)):
-            if not status[v]:
-                status[v] = 1
-                active.append(v)
-                frontier.append(v)
-        rounds = [frontier[:]]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if status[w]:
-                        continue
-                    c = count[w] + 1
-                    count[w] = c
-                    trail.append(w)
-                    if c == thr[w]:
-                        status[w] = 1
-                        active.append(w)
-                        nxt.append(w)
-            if not nxt:
-                break
-            rounds.append(sorted(nxt))
-            frontier = nxt
-        self.reset()
-        return rounds
+        The journal is neither read nor reset: pushed state is left as is.
+        """
+        return frozenset().union(*_rounds(self.inst, _check_seed(self.inst, seed)))
+
+
+def _rounds(inst: Instance, seed_list: list[int]) -> list[list[int]]:
+    """Synchronous round structure from a checked seed: [seed, new-in-round-1, ...].
+
+    need[v] is the number of active neighbors v still lacks.  Seeds start at
+    0; a vertex fires in the round its entry reaches 0, and every later
+    decrement drives an active entry negative, so nothing fires twice and no
+    status array, trail or reset is needed.
+    """
+    adj = inst.graph.adj
+    need = list(inst.thr)
+    for v in seed_list:
+        need[v] = 0
+    rounds = [seed_list]
+    frontier = seed_list
+    while True:
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                c = need[w] - 1
+                need[w] = c
+                if not c:
+                    nxt.append(w)
+        if not nxt:
+            return rounds
+        nxt.sort()
+        rounds.append(nxt)
+        frontier = nxt
 
 
 def activate_round(inst: Instance, active: Iterable[int]) -> frozenset[int]:
     """One synchronous step: active plus every vertex meeting its threshold.
 
     All neighbor counts are measured against the input set, never against
-    same-round activations.
+    same-round activations; this is round 1 of the kernel seeded with it.
     """
-    current = frozenset(_check_seed(inst, active))
-    adj = inst.graph.adj
-    thr = inst.thr
-    added = [
-        v
-        for v in range(1, inst.n + 1)
-        if v not in current and sum(1 for w in adj[v] if w in current) >= thr[v]
-    ]
-    return current | frozenset(added)
+    rounds = _rounds(inst, _check_seed(inst, active))
+    return frozenset(rounds[0]).union(*rounds[1:2])
 
 
 def activate(inst: Instance, seed: Iterable[int]) -> PropagationTrace:
     """Run the activation process from `seed` to its unique fixpoint."""
-    seed_list = _check_seed(inst, seed)
-    rounds = Propagator(inst).run_rounds(seed_list)
-    frozen = tuple(frozenset(r) for r in rounds)
-    final: frozenset[int] = frozenset().union(*frozen) if frozen else frozenset()
+    frozen = tuple(map(frozenset, _rounds(inst, _check_seed(inst, seed))))
     return PropagationTrace(
-        seed=frozen[0] if frozen else frozenset(),
+        seed=frozen[0],
         rounds=frozen,
-        final_active=final,
+        final_active=frozenset().union(*frozen),
         round_count=len(frozen) - 1,
     )
 
 
 def is_target_set(inst: Instance, seed: Iterable[int]) -> bool:
     """True iff seeding `seed` eventually activates every vertex."""
-    seed_list = _check_seed(inst, seed)
-    return len(Propagator(inst).run(seed_list)) == inst.n
+    return sum(map(len, _rounds(inst, _check_seed(inst, seed)))) == inst.n
 
 
 def influence(inst: Instance, seed: Iterable[int], mode: str = "closed") -> int:
@@ -226,5 +212,5 @@ def influence(inst: Instance, seed: Iterable[int], mode: str = "closed") -> int:
     if mode not in ("open", "closed"):
         raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
     seed_list = _check_seed(inst, seed)
-    final = Propagator(inst).run(seed_list)
-    return len(final) if mode == "closed" else len(final) - len(seed_list)
+    total = sum(map(len, _rounds(inst, seed_list)))
+    return total if mode == "closed" else total - len(seed_list)

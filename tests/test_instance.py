@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tsslab.gadgets import reduce_thresholds_to_two
 from tsslab.instance import (
     GeneratorConfig,
     Graph,
@@ -154,3 +155,55 @@ def test_incidence_bipartite_by_provenance():
         assert inc.m == 2 * g.m
         for u, v in inc.edges:
             assert {names[u][0], names[v][0]} == {"v", "e"}
+
+
+def test_adjacency_lists_sorted():
+    rng = random.Random(11)
+    for _ in range(100):
+        n = rng.randint(0, 25)
+        edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.4]
+        rng.shuffle(edges)
+        g = Graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges])
+        assert all(list(a) == sorted(a) for a in g.adj)
+        assert g.edges == tuple(sorted(edges))
+
+
+def test_builder_graph_equals_graph_from_sorted_edges():
+    rng = random.Random(12)
+    for _ in range(30):
+        cfg = GeneratorConfig(rng.randint(1, 7), rng.random(), "uniform", rng.randrange(2**32))
+        red = reduce_thresholds_to_two(generate_random(cfg)).instance
+        ref = Graph(red.n, sorted(red.graph.edges))
+        assert red.graph == ref
+        assert red.graph.adj == ref.adj
+
+
+def _reference_random(cfg):
+    rng = random.Random(cfg.rng_seed)
+    edges = []
+    for u in range(1, cfg.n + 1):
+        for v in range(u + 1, cfg.n + 1):
+            if rng.random() < cfg.edge_probability:
+                edges.append((u, v))
+    g = Graph(cfg.n, edges)
+    thr = []
+    for v in range(1, cfg.n + 1):
+        d = g.degree(v)
+        if cfg.threshold_mode == "constant":
+            t = cfg.constant
+        elif cfg.threshold_mode == "majority":
+            t = (d + 1) // 2
+        elif cfg.threshold_mode == "unanimity":
+            t = d
+        else:
+            t = rng.randint(1, max(1, d))
+        thr.append(max(1, min(t, max(1, d))))
+    return Instance(g, thr)
+
+
+@pytest.mark.parametrize("mode", ["constant", "majority", "unanimity", "uniform"])
+def test_generator_matches_reference_double_loop(mode):
+    rng = random.Random(13)
+    for n, p in [(0, 0.5), (1, 1.0), (12, 0.0), (12, 1.0), (30, 0.2), (60, 0.05)]:
+        cfg = GeneratorConfig(n, p, mode, rng.randrange(2**32), rng.randint(1, 4))
+        assert write_instance(generate_random(cfg)) == write_instance(_reference_random(cfg))

@@ -11,7 +11,13 @@ from tsslab.propagation import (
     influence,
     is_target_set,
 )
-from tsslab.verify import naive_closure, naive_round, naive_rounds, random_seed_set
+from tsslab.verify import (
+    naive_closure,
+    naive_is_target_set,
+    naive_round,
+    naive_rounds,
+    random_seed_set,
+)
 
 
 def star(leaves, thr_center=1, thr_leaf=1):
@@ -176,3 +182,59 @@ def test_propagator_push_pop_consistency():
             assert prop.active_set() == naive_closure(inst, current)
         prop.reset()
         assert prop.active_count() == 0
+
+
+def _kernel_case(rng):
+    """A random instance with some thresholds above the degree, and a seed
+    list that may be empty, full or hold duplicate entries."""
+    n = rng.randint(1, 16)
+    p = rng.random()
+    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
+    g = Graph(n, edges)
+    thr = [rng.randint(1, g.degree(v) + 2) for v in range(1, n + 1)]
+    kind = rng.random()
+    if kind < 0.1:
+        seed = []
+    elif kind < 0.2:
+        seed = list(range(1, n + 1))
+    else:
+        seed = list(random_seed_set(rng, n, rng.random()))
+        seed += rng.sample(seed, rng.randint(0, len(seed)))
+        rng.shuffle(seed)
+    return Instance(g, thr), seed
+
+
+def test_one_shot_paths_match_naive_oracles():
+    rng = random.Random(2024)
+    for _ in range(400):
+        inst, seed = _kernel_case(rng)
+        closure = naive_closure(inst, seed)
+        assert list(activate(inst, seed).rounds) == naive_rounds(inst, seed)
+        assert Propagator(inst).run(seed) == closure
+        assert is_target_set(inst, seed) == naive_is_target_set(inst, seed)
+        assert influence(inst, seed, "closed") == len(closure)
+        assert influence(inst, seed, "open") == len(closure - set(seed))
+        assert activate_round(inst, seed) == naive_round(inst, seed)
+
+
+def test_run_leaves_pushed_state_untouched():
+    rng = random.Random(3)
+    for _ in range(50):
+        inst, seed = _kernel_case(rng)
+        prop = Propagator(inst)
+        token = prop.push(seed)
+        pushed = prop.active_set()
+        other = random_seed_set(rng, inst.n)
+        assert prop.run(other) == naive_closure(inst, other)
+        assert prop.active_set() == pushed == naive_closure(inst, seed)
+        prop.pop_to(token)
+        assert prop.mark() == (0, 0)
+        prop.push(seed)
+        assert prop.active_set() == pushed
+
+
+def test_run_rejects_out_of_range_seed():
+    prop = Propagator(triangle())
+    for bad in ([0], [4], [1, 5]):
+        with pytest.raises(ValueError):
+            prop.run(bad)
