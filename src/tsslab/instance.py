@@ -152,6 +152,12 @@ class GeneratorConfig:
             raise ValueError("constant threshold must be at least 1")
 
 
+def _gnp_edges(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:
+    """G(n, p) edges: one rng.random() per pair, in (u, v) lexicographic order."""
+    rnd = rng.random
+    return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rnd() < p]
+
+
 def generate_random(cfg: GeneratorConfig) -> Instance:
     """Draw a G(n, p) instance; identical rng_seed yields identical output.
 
@@ -159,14 +165,9 @@ def generate_random(cfg: GeneratorConfig) -> Instance:
     the final degrees (majority/unanimity need them fixed).
     """
     rng = random.Random(cfg.rng_seed)
-    n, p = cfg.n, cfg.edge_probability
-    rnd = rng.random
-    edges: list[tuple[int, int]] = []
-    for u in range(1, n + 1):
-        edges += [(u, v) for v in range(u + 1, n + 1) if rnd() < p]
-    g = Graph(n, edges)
+    g = Graph(cfg.n, _gnp_edges(rng, cfg.n, cfg.edge_probability))
     thr = []
-    for v in range(1, n + 1):
+    for v in range(1, cfg.n + 1):
         d = g.degree(v)
         if cfg.threshold_mode == "constant":
             t = cfg.constant

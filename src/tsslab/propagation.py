@@ -78,6 +78,8 @@ class Propagator:
 
     def push_one(self, v: int) -> tuple[int, int]:
         """Activate v (if inactive) and cascade to the fixpoint."""
+        if not 0 < v <= self.n:
+            raise ValueError(f"seed vertex {v} out of range 1..{self.n}")
         status = self._status
         token = (len(self._active), len(self._trail))
         if status[v]:
@@ -106,7 +108,7 @@ class Propagator:
 
     def push(self, vertices: Iterable[int]) -> tuple[int, int]:
         token = self.mark()
-        for v in vertices:
+        for v in _check_seed(self.inst, vertices):
             self.push_one(v)
         return token
 

@@ -26,10 +26,17 @@ Minimum-influence scans, where that inequality points the wrong way,
 prune by a monotone bound instead: a prefix's closure only grows as seeds
 are added, so a subtree whose prefix already closes to at least the
 incumbent value (less the seed size in open mode) holds no strictly better
-seed and is skipped.  The incumbent a block starts from is fixed before
-the block runs (the best value once the cardinality's first block is
-done), so `explored`, which there counts the seed sets evaluated, is the
-same for any thread count.
+seed and is skipped.  A candidate is also skipped, with its whole subtree
+and without being pushed, when its singleton closure already reaches the
+incumbent: every seed holding v closes to a superset of cl({v}), so its
+value is at least |cl({v})| (less the seed size in open mode).  That floor
+table costs one push per universe vertex, computed once per call for
+cardinalities c >= 2 (at c = 1 the leaf push is the singleton closure
+itself).  The incumbent a block starts from and the floor table are fixed
+before the block runs (the incumbent is the best value once the
+cardinality's first block is done), so `explored`, which there counts the
+seed sets evaluated and so excludes pruned and floor-skipped subtrees, is
+the same for any thread count.
 """
 
 from __future__ import annotations
@@ -54,9 +61,10 @@ class SolveResult:
     when an exhaustive search finished (or provably found the optimum);
     `explored` counts the seed sets the search ruled on: the lexicographic
     rank of the stopping seed for target-set and maximum-influence scans,
-    the seed sets evaluated for minimum-influence scans (see the module
-    docstring).  `seed` is None when a capped search exhausted its cap
-    without a feasible set.
+    the seed sets evaluated for minimum-influence scans, which leaves out
+    the subtrees the closure bound and the singleton-closure floor skip
+    (see the module docstring).  `seed` is None when a capped search
+    exhausted its cap without a feasible set.
     """
 
     problem: str
@@ -98,9 +106,11 @@ def _scan_block(
     min-goal scan given an `incumbent` value reports only seeds strictly
     below it ((None, None, ...) if there are none) and skips every prefix
     whose closure already reaches the running best, since adding seeds
-    never shrinks a closure.
+    never shrinks a closure.  Given a `floor` table (floor[v] = |cl({v})|),
+    it also skips, unpushed, every candidate v whose floor already reaches
+    the running best.
     """
-    inst, universe, c, first, last, closed, maximize, stop_value, incumbent = args
+    inst, universe, c, first, last, closed, maximize, stop_value, incumbent, floor = args
     prop = Propagator(inst if inst is not None else _WORKER_INST)
     offset = 0 if closed else c
     best_v: int | None = incumbent
@@ -130,8 +140,11 @@ def _scan_block(
             return False
         for i in range(lo, hi):
             v = universe[i]
-            if maximize and dom[v] == node:
-                scanned += comb(u - i - 1, need - 1)
+            if maximize:
+                if dom[v] == node:
+                    scanned += comb(u - i - 1, need - 1)
+                    continue
+            elif floor is not None and best_v is not None and floor[v] - offset >= best_v:
                 continue
             token = prop.push_one(v)
             combo.append(v)
@@ -151,6 +164,17 @@ def _scan_block(
     if best_seed is None:
         return None, None, scanned, stopped
     return best_v, best_seed, scanned, stopped
+
+
+def _singleton_closures(inst: Instance, universe: Sequence[int]) -> list[int]:
+    """floor[v] = |cl({v})| for each universe vertex v (0 elsewhere)."""
+    prop = Propagator(inst)
+    floor = [0] * (inst.n + 1)
+    for v in universe:
+        token = prop.push_one(v)
+        floor[v] = prop.active_count()
+        prop.pop_to(token)
+    return floor
 
 
 def _blocks(u: int, c: int, whole: bool) -> list[tuple[int, int]]:
@@ -214,7 +238,7 @@ def optimal_target_set(
                 )
             continue
         tasks = [
-            (universe, c, first, last, True, True, n, None)
+            (universe, c, first, last, True, True, n, None, None)
             for first, last in _blocks(n, c, threads <= 1)
         ]
         for _, seed, scanned, stopped in _map_blocks(inst, tasks, threads):
@@ -246,12 +270,15 @@ def k_influence(
     sibling activates, where that sibling's subtree never reached the stop
     value, cannot lead to a seed worth more.  `explored` is then the
     lexicographic rank of the seed where the scan stopped (the full count
-    if none), with skipped subtrees counted at full size.  Minimization runs each cardinality's
-    first block alone and then the remaining blocks from its best value,
-    pruning by the monotone closure bound, and `explored` counts the seed
-    sets evaluated.  Either way (see the module docstring) values and
-    witnesses are those of the full enumeration, and `explored` does not
-    depend on `threads`.
+    if none), with skipped subtrees counted at full size.  Minimization
+    runs each cardinality's first block alone and then the remaining blocks
+    from its best value.  It prunes a prefix by the monotone closure bound,
+    and, for c >= 2, skips a candidate v unpushed when |cl({v})| (less c in
+    open mode) already reaches the best value, since every seed holding v
+    closes to at least cl({v}).  `explored` counts the seed sets evaluated,
+    so it excludes both kinds of skipped subtree.  Either way (see the
+    module docstring) values and witnesses are those of the full
+    enumeration, and `explored` does not depend on `threads`.
     """
     if mode not in ("open", "closed"):
         raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
@@ -285,6 +312,7 @@ def k_influence(
         )
 
     maximize = goal == "max"
+    floor: list[int] | None = None
     best_v: int | None = None
     best_seed: tuple[int, ...] | None = None
     explored = 0
@@ -304,6 +332,10 @@ def k_influence(
         if maximize:
             waves = [_blocks(len(uni), c, threads <= 1)]
         else:
+            # At c = 1 the leaf push is the singleton closure itself, so the
+            # floor table would only double the work.
+            if c >= 2 and floor is None:
+                floor = _singleton_closures(inst, uni)
             # The min goal's incumbent must not depend on which blocks
             # finished first, so the first block runs alone and the rest
             # start from it.
@@ -313,7 +345,7 @@ def k_influence(
         for wave in waves:
             incumbent = None if maximize else best_v
             tasks = [
-                (uni, c, first, last, mode == "closed", maximize, stop_value, incumbent)
+                (uni, c, first, last, mode == "closed", maximize, stop_value, incumbent, floor)
                 for first, last in wave
             ]
             for bv, bs, scanned, stopped in _map_blocks(inst, tasks, threads):

@@ -19,6 +19,7 @@ from .instance import (
     GeneratorConfig,
     Graph,
     Instance,
+    _gnp_edges,
     generate_random,
     write_instance,
 )
@@ -208,13 +209,7 @@ def trace_violations(inst: Instance, trace: PropagationTrace) -> list[str]:
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    edges = [
-        (u, v)
-        for u in range(1, n + 1)
-        for v in range(u + 1, n + 1)
-        if rng.random() < p
-    ]
-    return Graph(n, edges)
+    return Graph(n, _gnp_edges(rng, n, p))
 
 
 def random_graph_min_degree_one(rng: random.Random, n_lo: int, n_hi: int) -> Graph:

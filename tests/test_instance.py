@@ -13,6 +13,7 @@ from tsslab.instance import (
     parse_instance,
     write_instance,
 )
+from tsslab.verify import random_graph
 
 TWO_PATH = "tss 2 1\nt 1 1\nt 2 1\ne 1 2\n"
 
@@ -178,14 +179,18 @@ def test_builder_graph_equals_graph_from_sorted_edges():
         assert red.graph.adj == ref.adj
 
 
+def _reference_edges(rng, n, p):
+    edges = []
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            if rng.random() < p:
+                edges.append((u, v))
+    return edges
+
+
 def _reference_random(cfg):
     rng = random.Random(cfg.rng_seed)
-    edges = []
-    for u in range(1, cfg.n + 1):
-        for v in range(u + 1, cfg.n + 1):
-            if rng.random() < cfg.edge_probability:
-                edges.append((u, v))
-    g = Graph(cfg.n, edges)
+    g = Graph(cfg.n, _reference_edges(rng, cfg.n, cfg.edge_probability))
     thr = []
     for v in range(1, cfg.n + 1):
         d = g.degree(v)
@@ -207,3 +212,10 @@ def test_generator_matches_reference_double_loop(mode):
     for n, p in [(0, 0.5), (1, 1.0), (12, 0.0), (12, 1.0), (30, 0.2), (60, 0.05)]:
         cfg = GeneratorConfig(n, p, mode, rng.randrange(2**32), rng.randint(1, 4))
         assert write_instance(generate_random(cfg)) == write_instance(_reference_random(cfg))
+
+
+def test_random_graph_matches_reference_double_loop():
+    for seed, (n, p) in enumerate([(0, 0.5), (1, 1.0), (2, 0.5), (12, 0.0), (12, 1.0), (30, 0.2)]):
+        got_rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert random_graph(got_rng, n, p) == Graph(n, _reference_edges(ref_rng, n, p))
+        assert got_rng.getstate() == ref_rng.getstate()

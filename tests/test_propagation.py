@@ -238,3 +238,17 @@ def test_run_rejects_out_of_range_seed():
     for bad in ([0], [4], [1, 5]):
         with pytest.raises(ValueError):
             prop.run(bad)
+
+
+def test_push_rejects_out_of_range_vertex():
+    prop = Propagator(path(3))
+    for bad in ([0, 1], [1, 4], [5]):
+        with pytest.raises(ValueError):
+            prop.push(bad)
+        assert prop.mark() == (0, 0)
+    for v in (0, 4, -1):
+        with pytest.raises(ValueError):
+            prop.push_one(v)
+        assert prop.mark() == (0, 0)
+    prop.push([3])
+    assert prop.is_full() and prop.active_count() == 3

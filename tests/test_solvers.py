@@ -1,10 +1,11 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from tsslab.instance import GeneratorConfig, Graph, Instance, generate_random
-from tsslab.reductions import mcs_to_tss
+from tsslab.reductions import is_to_influence_decision, is_to_min_closed_influence, mcs_to_tss
 from tsslab.solvers import (
     greedy_target_set,
     k_influence,
@@ -19,6 +20,7 @@ from tsslab.verify import (
     naive_closure,
     naive_is_target_set,
     random_graph,
+    random_graph_min_degree_one,
     unanimity_instance,
 )
 
@@ -398,3 +400,52 @@ def test_dominance_scans_on_compiled_circuits():
         check_max_scan(inst, 2, "open", None, threads)
         universe = range(1, inst.n + 1, 2)
         check_max_scan(inst, 2, "closed", universe, threads)
+
+
+# singleton-closure floor against brute force ---------------------------------
+
+
+def floor_case(rng):
+    """(instance, k, mode, goal, exact, universe) drawn like the dichotomy
+    checks: min-closed and decision compilations, or a random instance with
+    some thr > deg vertices."""
+    kind = rng.randrange(3)
+    k = rng.randint(1, 4)
+    mode = rng.choice(("closed", "open"))
+    goal = "min" if rng.random() < 0.8 else "max"
+    if kind == 0:
+        g = random_graph_min_degree_one(rng, 2, 5)
+        k = min(k, g.n)
+        inst = is_to_min_closed_influence(g, k, h=rng.randint(1, 3)).instance
+    elif kind == 1:
+        g = random_graph_min_degree_one(rng, 2, 5)
+        k = min(k, g.n)
+        inst = is_to_influence_decision(g, k, mode).instance
+    else:
+        g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.1, 0.8))
+        inst = Instance(g, [rng.randint(1, g.degree(v) + 2) for v in range(1, g.n + 1)])
+    universe = None
+    if rng.random() < 0.4:
+        universe = rng.sample(range(1, inst.n + 1), rng.randint(min(k, inst.n), inst.n))
+    exact = rng.choice((None, True, False))
+    return inst, k, mode, goal, exact, universe
+
+
+def test_min_floor_matches_brute_force():
+    rng = random.Random(61)
+    cases = 0
+    while cases < 300:
+        inst, k, mode, goal, exact, universe = floor_case(rng)
+        u = inst.n if universe is None else len(universe)
+        sizes = [k] if (goal == "min" if exact is None else exact) else range(min(k, u) + 1)
+        total = sum(comb(u, c) for c in sizes)
+        if k > u or total > 3000:  # keep the brute-force oracle cheap
+            continue
+        cases += 1
+        res = k_influence(inst, k, mode, goal, exact, universe=universe)
+        want = brute_force_best_influence(inst, k, mode, goal, exact, universe)
+        assert (res.value, res.seed) == want, (cases, k, mode, goal, exact, universe)
+        assert res.explored <= total
+        if cases % 30 == 0:
+            two = k_influence(inst, k, mode, goal, exact, universe=universe, threads=2)
+            assert two == res
