@@ -7,8 +7,10 @@ seed, idempotent, and it reaches its fixpoint within |V| rounds.
 
 Every one-shot run (`activate`, `activate_round`, `is_target_set`,
 `influence`, `Propagator.run`) goes through one countdown kernel, `_rounds`.
-The `Propagator` journal serves only the exhaustive scans, which push and
-pop seeds around a shared prefix.
+The `Propagator` journal serves only the internal levels of the exhaustive
+scans, which push and pop seeds around a shared prefix; a scan's leaves,
+its singleton-closure table and the greedy heuristic's candidates ask
+`Propagator.gain`, which leaves the journal alone.
 """
 
 from __future__ import annotations
@@ -56,9 +58,12 @@ class Propagator:
 
     Keeps per-vertex active-neighbor counters and an activation stack so
     each push/pop pair costs O(work actually done).  push_one/pop_to form an
-    undo journal, which lets exhaustive seed-set scans share the propagation
-    work of common prefixes; `run` is a one-shot cascade that bypasses the
-    journal.  Not thread-safe: use one Propagator per thread.
+    undo journal, which the internal levels of exhaustive seed-set scans use
+    to share the propagation work of common prefixes.  `gain` answers what
+    one more seed would activate without a journal entry, which is how scan
+    leaves, singleton-closure tables and greedy candidates are evaluated;
+    `run` is a one-shot cascade that bypasses the journal.  Not thread-safe:
+    use one Propagator per thread.
     """
 
     __slots__ = ("inst", "n", "_adj", "_thr", "_status", "_count", "_active", "_trail")
@@ -80,15 +85,48 @@ class Propagator:
         """Activate v (if inactive) and cascade to the fixpoint."""
         if not 0 < v <= self.n:
             raise ValueError(f"seed vertex {v} out of range 1..{self.n}")
-        status = self._status
         token = (len(self._active), len(self._trail))
+        if not self._status[v]:
+            self._cascade(v, self._active, self._trail)
+        return token
+
+    def gain(self, v: int) -> tuple[int, ...]:
+        """Vertices push_one(v) would activate, in the same order.
+
+        The engine is left exactly as it was and no journal entry is made:
+        when no inactive neighbor of v is one bump short of its threshold,
+        the answer is (v,) without a write; otherwise the cascade runs into
+        local lists and is undone from them.
+        """
+        if not 0 < v <= self.n:
+            raise ValueError(f"seed vertex {v} out of range 1..{self.n}")
+        status = self._status
         if status[v]:
-            return token
-        adj = self._adj
+            return ()
         thr = self._thr
         count = self._count
-        active = self._active
-        trail = self._trail
+        for w in self._adj[v]:
+            if not status[w] and count[w] + 1 == thr[w]:
+                break
+        else:
+            return (v,)
+        new: list[int] = []
+        bumped: list[int] = []
+        self._cascade(v, new, bumped)
+        for w in bumped:
+            count[w] -= 1
+        for w in new:
+            status[w] = 0
+        return tuple(new)
+
+    def _cascade(self, v: int, active: list[int], trail: list[int]) -> None:
+        """Activate the inactive vertex v and everything it sets off,
+        appending each activation to `active` and each counter bump to
+        `trail`."""
+        adj = self._adj
+        thr = self._thr
+        status = self._status
+        count = self._count
         status[v] = 1
         active.append(v)
         stack = [v]
@@ -104,7 +142,6 @@ class Propagator:
                     status[w] = 1
                     active.append(w)
                     stack.append(w)
-        return token
 
     def push(self, vertices: Iterable[int]) -> tuple[int, int]:
         token = self.mark()

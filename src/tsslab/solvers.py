@@ -4,10 +4,13 @@ Exhaustive searches enumerate seed sets in cardinality-major lexicographic
 order.  Maximization problems range over |S| <= k, minimization problems
 over |S| = k; ties always go to the smaller, then lexicographically
 smaller, seed.  The scans share propagation work between seeds that share
-a prefix (see Propagator.push_one/pop_to), may stop early only when a seed
-reaches the problem's hard value bound, and can partition the first-vertex
-blocks of each cardinality across worker processes without changing any
-reported field.
+a prefix: internal levels push and pop seeds on the Propagator journal
+(push_one/pop_to), and the last level evaluates each candidate in place
+with Propagator.gain, which returns what a push would activate and leaves
+the engine untouched, so a leaf costs no journal push or pop.  The scans
+may stop early only when a seed reaches the problem's hard value bound,
+and can partition the first-vertex blocks of each cardinality across
+worker processes without changing any reported field.
 
 Target-set and maximum-influence scans skip dominated subtrees.  At a
 node with prefix P, once the child v at universe index i has been searched
@@ -30,13 +33,14 @@ seed and is skipped.  A candidate is also skipped, with its whole subtree
 and without being pushed, when its singleton closure already reaches the
 incumbent: every seed holding v closes to a superset of cl({v}), so its
 value is at least |cl({v})| (less the seed size in open mode).  That floor
-table costs one push per universe vertex, computed once per call for
-cardinalities c >= 2 (at c = 1 the leaf push is the singleton closure
+table costs one `gain` call per universe vertex, computed once per call for
+cardinalities c >= 2 (at c = 1 the leaf evaluation is the singleton closure
 itself).  The incumbent a block starts from and the floor table are fixed
 before the block runs (the incumbent is the best value once the
 cardinality's first block is done), so `explored`, which there counts the
 seed sets evaluated and so excludes pruned and floor-skipped subtrees, is
-the same for any thread count.
+the same for any thread count.  `greedy_target_set` rates its candidates
+with `gain` too.
 """
 
 from __future__ import annotations
@@ -107,11 +111,18 @@ def _scan_block(
     below it ((None, None, ...) if there are none) and skips every prefix
     whose closure already reaches the running best, since adding seeds
     never shrinks a closure.  Given a `floor` table (floor[v] = |cl({v})|),
-    it also skips, unpushed, every candidate v whose floor already reaches
-    the running best.
+    it also skips, unevaluated, every candidate v whose floor already
+    reaches the running best.
+
+    Internal levels push each candidate on the journal and pop it after its
+    subtree.  The last level (one seed still needed) evaluates a candidate
+    v as |cl(prefix)| + len(gain(v)) without pushing it, under the same
+    skips, stop test and dominance stamps as an internal level, and copies
+    the prefix only when a leaf improves the best value.
     """
     inst, universe, c, first, last, closed, maximize, stop_value, incumbent, floor = args
     prop = Propagator(inst if inst is not None else _WORKER_INST)
+    gain = prop.gain
     offset = 0 if closed else c
     best_v: int | None = incumbent
     best_seed: tuple[int, ...] | None = None
@@ -123,21 +134,49 @@ def _scan_block(
     dominated = [[0] * (prop.n + 1) for _ in range(c)] if maximize else []
     nodes = 0
 
-    def rec(lo: int, hi: int, need: int) -> bool:
-        nonlocal best_v, best_seed, scanned, nodes
-        if need == 0:
+    def leaves(lo: int, hi: int, node: int, dom: list[int]) -> bool:
+        # The last level: each candidate is evaluated in place by gain(v),
+        # so a leaf costs no journal push or pop.
+        nonlocal best_v, best_seed, scanned
+        base = prop.active_count() - offset
+        for i in range(lo, hi):
+            v = universe[i]
+            if maximize:
+                if dom[v] == node:
+                    scanned += 1
+                    continue
+            elif floor is not None and best_v is not None and floor[v] - offset >= best_v:
+                continue
+            new = gain(v)
             scanned += 1
-            val = prop.active_count() - offset
+            val = base + len(new)
             if best_v is None or (val > best_v if maximize else val < best_v):
                 best_v = val
-                best_seed = tuple(combo)
-            return val == stop_value
+                best_seed = (*combo, v)
+            if val == stop_value:
+                return True
+            if maximize:
+                # Same stamps as an inner level: after the first child,
+                # cl(prefix) too.
+                if i == lo:
+                    for w in prop.activated_since((0, 0)):
+                        dom[w] = node
+                for w in new:
+                    dom[w] = node
+        return False
+
+    def rec(lo: int, hi: int, need: int) -> bool:
+        nonlocal nodes, scanned
+        node = 0
+        dom: list[int] = []
         if maximize:
             nodes += 1
             node = nodes
             dom = dominated[need - 1]
         elif best_v is not None and prop.active_count() - offset >= best_v:
             return False
+        if need == 1:
+            return leaves(lo, hi, node, dom)
         for i in range(lo, hi):
             v = universe[i]
             if maximize:
@@ -171,9 +210,7 @@ def _singleton_closures(inst: Instance, universe: Sequence[int]) -> list[int]:
     prop = Propagator(inst)
     floor = [0] * (inst.n + 1)
     for v in universe:
-        token = prop.push_one(v)
-        floor[v] = prop.active_count()
-        prop.pop_to(token)
+        floor[v] = len(prop.gain(v))
     return floor
 
 
@@ -216,7 +253,7 @@ def optimal_target_set(
     Seeds are enumerated by increasing cardinality and lexicographically
     within a cardinality; the first target set found is returned.  If no
     target set of size <= size_cap exists the result carries no seed and
-    optimal=False.
+    optimal=False; a negative size_cap raises ValueError.
 
     The scan is a closed max-influence scan that stops at value n, so it
     skips dominated subtrees (see the module docstring): a candidate that
@@ -225,6 +262,8 @@ def optimal_target_set(
     rank of the returned seed (the full count when there is none), with
     skipped subtrees counted at full size, for any `threads`.
     """
+    if size_cap is not None and size_cap < 0:
+        raise ValueError("size_cap must be nonnegative")
     n = inst.n
     cap = n if size_cap is None else min(size_cap, n)
     universe = tuple(range(1, n + 1))
@@ -332,8 +371,8 @@ def k_influence(
         if maximize:
             waves = [_blocks(len(uni), c, threads <= 1)]
         else:
-            # At c = 1 the leaf push is the singleton closure itself, so the
-            # floor table would only double the work.
+            # At c = 1 the leaf evaluation is the singleton closure itself,
+            # so the floor table would only double the work.
             if c >= 2 and floor is None:
                 floor = _singleton_closures(inst, uni)
             # The min goal's incumbent must not depend on which blocks
@@ -389,10 +428,8 @@ def greedy_target_set(inst: Instance) -> SolveResult:
         for v in range(1, n + 1):
             if v in in_seed:
                 continue
-            token = prop.push_one(v)
             explored += 1
-            gain = prop.active_count()
-            prop.pop_to(token)
+            gain = len(prop.gain(v))
             if gain > best_gain:
                 best_gain = gain
                 chosen = v
@@ -431,13 +468,15 @@ def unanimity_target_set_2approx(inst: Instance) -> SolveResult:
     return SolveResult("target-set-unanimity-2approx", seed, len(seed), False, 0)
 
 
-def _components(inst: Instance) -> list[list[int]]:
+def _components(inst: Instance) -> list[tuple[list[int], dict[int, set[int]]]]:
+    """Each component's sorted vertices and its breadth-first spanning tree,
+    rooted at its smallest id (the tree as an adjacency map)."""
     seen = [False] * (inst.n + 1)
     comps = []
     for s in range(1, inst.n + 1):
         if seen[s]:
             continue
-        comp = [s]
+        tree: dict[int, set[int]] = {s: set()}
         seen[s] = True
         queue = deque([s])
         while queue:
@@ -445,27 +484,11 @@ def _components(inst: Instance) -> list[list[int]]:
             for w in inst.graph.neighbors(u):
                 if not seen[w]:
                     seen[w] = True
-                    comp.append(w)
+                    tree[u].add(w)
+                    tree[w] = {u}
                     queue.append(w)
-        comps.append(sorted(comp))
+        comps.append((sorted(tree), tree))
     return comps
-
-
-def _bfs_tree(inst: Instance, comp: list[int]) -> dict[int, set[int]]:
-    """Breadth-first spanning tree of one component, rooted at its smallest id."""
-    tree: dict[int, set[int]] = {v: set() for v in comp}
-    root = comp[0]
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in inst.graph.neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                tree[u].add(w)
-                tree[w].add(u)
-                queue.append(w)
-    return tree
 
 
 def _peel_leaves(tree: dict[int, set[int]], count: int) -> list[int]:
@@ -511,7 +534,7 @@ def min_open_influence_unanimity(inst: Instance, k: int) -> SolveResult:
     INF = n + 1
     dp = [0] + [INF] * k
     choices: list[list[int | None]] = []
-    for comp in comps:
+    for comp, _ in comps:
         c = len(comp)
         options = [(p, 0) for p in range(0, max(c - 1, 1))]  # 0..c-2, or 0..1 if c==1
         if c == 1:
@@ -539,7 +562,7 @@ def min_open_influence_unanimity(inst: Instance, k: int) -> SolveResult:
     # Reconstruct per-component seed amounts, then peel witnesses.
     amounts = []
     j = k
-    for comp, pick in zip(reversed(comps), reversed(choices)):
+    for pick in reversed(choices):
         p = pick[j]
         assert p is not None
         amounts.append(p)
@@ -547,11 +570,11 @@ def min_open_influence_unanimity(inst: Instance, k: int) -> SolveResult:
     amounts.reverse()
 
     seed: list[int] = []
-    for comp, p in zip(comps, amounts):
+    for (comp, tree), p in zip(comps, amounts):
         if p == len(comp):
             seed.extend(comp)
         elif p:
-            seed.extend(_peel_leaves(_bfs_tree(inst, comp), p))
+            seed.extend(_peel_leaves(tree, p))
     return SolveResult(
         "min-open-influence-unanimity",
         frozenset(seed),

@@ -75,6 +75,11 @@ def test_solve_missing_k_exits_2(inst_file, capsys):
     assert main(["solve", "-i", inst_file, "--problem", "k-influence"]) == 2
 
 
+def test_solve_negative_cap_exits_2(inst_file, capsys):
+    assert main(["solve", "-i", inst_file, "--problem", "target-set", "--cap", "-1"]) == 2
+    assert "size_cap must be nonnegative" in capsys.readouterr().err
+
+
 def test_solve_threads_flag_same_output(tmp_path, capsys):
     p = tmp_path / "g.tss"
     from tsslab.cli import main as cli_main

@@ -252,3 +252,51 @@ def test_push_rejects_out_of_range_vertex():
         assert prop.mark() == (0, 0)
     prop.push([3])
     assert prop.is_full() and prop.active_count() == 3
+
+
+def _count_writes(prop):
+    """Swap the engine's counter and status arrays for copies that count
+    item writes; returns the one-element tally."""
+    writes = [0]
+
+    class Counts(list):
+        def __setitem__(self, i, x):
+            writes[0] += 1
+            super().__setitem__(i, x)
+
+    class Status(bytearray):
+        def __setitem__(self, i, x):
+            writes[0] += 1
+            super().__setitem__(i, x)
+
+    prop._count = Counts(prop._count)
+    prop._status = Status(prop._status)
+    return writes
+
+
+def test_gain_matches_push():
+    rng = random.Random(29)
+    for _ in range(150):
+        inst, _ = _kernel_case(rng)
+        n = inst.n
+        prop = Propagator(inst)
+        prefix = [] if rng.random() < 0.3 else list(random_seed_set(rng, n, rng.random() * 0.5))
+        prop.push(prefix)
+        writes = _count_writes(prop)
+        before = naive_closure(inst, prefix)
+        mark, active = prop.mark(), prop.active_set()
+        for v in range(1, n + 1):
+            tally = writes[0]
+            got = prop.gain(v)
+            if len(got) <= 1:  # nothing cascades: answered without a write
+                assert writes[0] == tally
+            assert (prop.mark(), prop.active_set()) == (mark, active)
+            token = prop.push_one(v)
+            assert list(got) == prop.activated_since(token)
+            assert set(got) == naive_closure(inst, prefix + [v]) - before
+            prop.pop_to(token)
+            assert (prop.mark(), prop.active_set()) == (mark, active)
+        for bad in (0, n + 1):
+            with pytest.raises(ValueError):
+                prop.gain(bad)
+        assert (prop.mark(), prop.active_set()) == (mark, active)

@@ -69,6 +69,11 @@ def test_optimal_cap_exhausted():
     assert res.explored == 1 + 4 + 6
 
 
+def test_optimal_rejects_negative_cap():
+    with pytest.raises(ValueError, match="size_cap must be nonnegative"):
+        optimal_target_set(triangle(2), size_cap=-1)
+
+
 def test_optimal_threads_match():
     rng = random.Random(0)
     for _ in range(5):
@@ -389,6 +394,15 @@ def test_dominance_scans_match_lexicographic_scan():
         exact = rng.random() < 0.25
         for mode in ("closed", "open"):
             check_max_scan(inst, k, mode, universe, threads, exact)
+    # Benchmark-sized max scans, where most leaves activate only themselves.
+    for n in (20, 22, 24):
+        inst = generate_random(
+            GeneratorConfig(
+                n, rng.uniform(0.1, 0.3), rng.choice(("majority", "uniform")), rng.randrange(2**32)
+            )
+        )
+        for mode in ("closed", "open"):
+            check_max_scan(inst, 3, mode, None, 1)
 
 
 def test_dominance_scans_on_compiled_circuits():
