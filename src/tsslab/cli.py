@@ -1,14 +1,12 @@
 """Command-line front end: generate, propagate, solve, reduce, verify.
 
 Exit codes: 0 success, 1 a verification property failed, 2 usage or input
-error.  All randomized subcommands are reproducible from --seed; --threads
-(default from TSSLAB_THREADS) controls solver parallelism.
+error.  All randomized subcommands are reproducible from --seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -120,14 +118,6 @@ def _parse_seeds(raw: str) -> list[int]:
         raise ParseError(f"bad seed list {raw!r}; expected comma-separated integers")
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("TSSLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsslab",
@@ -162,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mode", choices=("open", "closed"), default="closed")
     solve.add_argument("--goal", choices=("max", "min"), default="max")
     solve.add_argument("--cap", type=int, default=None, help="target-set size cap")
-    solve.add_argument("--threads", type=int, default=_default_threads())
     solve.add_argument("-o", "--output", default=None)
 
     red = sub.add_parser("reduce", help="compile an instance transformation")
@@ -212,7 +201,7 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.input))
     if args.problem == "target-set":
-        res = optimal_target_set(inst, args.cap, threads=args.threads)
+        res = optimal_target_set(inst, args.cap)
     elif args.problem == "greedy-target-set":
         res = greedy_target_set(inst)
     elif args.problem == "unanimity-2approx":
@@ -220,9 +209,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     elif args.problem == "k-influence":
         if args.k is None:
             raise ParseError("k-influence needs -k")
-        res = k_influence(
-            inst, args.k, args.mode, args.goal, threads=args.threads
-        )
+        res = k_influence(inst, args.k, args.mode, args.goal)
     else:
         if args.k is None:
             raise ParseError("unanimity-min-open needs -k")
@@ -279,21 +266,25 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     suite = verify.SUITES[args.suite]
     kwargs = {}
-    for name in (
-        "trials",
-        "graphs",
-        "max_n",
-        "seed",
-        "max_inputs",
-        "max_gates",
-        "peels",
-        "random_seeds",
-        "max_chain",
-        "k_max",
+    # (attribute, flag); every flag but --seed is a count.
+    for name, flag in (
+        ("trials", "--trials"),
+        ("graphs", "--graphs"),
+        ("max_n", "--n"),
+        ("seed", "--seed"),
+        ("max_inputs", "--max-inputs"),
+        ("max_gates", "--max-gates"),
+        ("peels", "--peels"),
+        ("random_seeds", "--random-seeds"),
+        ("max_chain", "--chains"),
+        ("k_max", "--k-max"),
     ):
         value = getattr(args, name, None)
-        if value is not None:
-            kwargs[name] = value
+        if value is None:
+            continue
+        if name != "seed" and value < 0:
+            raise ParseError(f"{flag} must be nonnegative, got {value}")
+        kwargs[name] = value
     import inspect
 
     accepted = set(inspect.signature(suite).parameters)

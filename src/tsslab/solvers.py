@@ -7,10 +7,9 @@ smaller, seed.  The scans share propagation work between seeds that share
 a prefix: internal levels push and pop seeds on the Propagator journal
 (push_one/pop_to), and the last level evaluates each candidate in place
 with Propagator.gain, which returns what a push would activate and leaves
-the engine untouched, so a leaf costs no journal push or pop.  The scans
-may stop early only when a seed reaches the problem's hard value bound,
-and can partition the first-vertex blocks of each cardinality across
-worker processes without changing any reported field.
+the engine untouched, so a leaf costs no journal push or pop.  Each
+cardinality is one recursion, and it may stop early only when a seed
+reaches the problem's hard value bound.
 
 Target-set and maximum-influence scans skip dominated subtrees.  At a
 node with prefix P, once the child v at universe index i has been searched
@@ -22,8 +21,7 @@ monotone and idempotent.  So w's subtree holds no target set and no seed
 worth more than one already seen (ties keep the earlier seed), and is
 skipped.  Such a subtree is counted at its full size, so `explored` stays
 the lexicographic rank of the seed where the scan stopped, or the full
-count when it does not stop, for any thread count.  Without a pool a
-cardinality is one recursion, so the rule acts at the first level too.
+count when it does not stop.
 
 Minimum-influence scans, where that inequality points the wrong way,
 prune by a monotone bound instead: a prefix's closure only grows as seeds
@@ -35,17 +33,14 @@ incumbent: every seed holding v closes to a superset of cl({v}), so its
 value is at least |cl({v})| (less the seed size in open mode).  That floor
 table costs one `gain` call per universe vertex, computed once per call for
 cardinalities c >= 2 (at c = 1 the leaf evaluation is the singleton closure
-itself).  The incumbent a block starts from and the floor table are fixed
-before the block runs (the incumbent is the best value once the
-cardinality's first block is done), so `explored`, which there counts the
-seed sets evaluated and so excludes pruned and floor-skipped subtrees, is
-the same for any thread count.  `greedy_target_set` rates its candidates
-with `gain` too.
+itself).  There `explored` counts the seed sets evaluated in one
+lexicographic pass with a running incumbent, so it excludes pruned and
+floor-skipped subtrees.  `greedy_target_set` rates its candidates with
+`gain` too.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from collections import deque
 from dataclasses import dataclass
 from math import comb
@@ -82,37 +77,35 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# Scan kernel.  A "block" is the set of all size-c subsets of `universe`
-# whose first element is universe[i] for some i in [first, last); blocks in
-# index order concatenate to the full lexicographic enumeration of size-c
-# subsets.
-
-_WORKER_INST: Instance | None = None
+# Scan kernel.  One call scans every size-c subset of `universe` in
+# lexicographic order, under one running incumbent.
 
 
-def _pool_init(inst: Instance) -> None:
-    global _WORKER_INST
-    _WORKER_INST = inst
-
-
-def _scan_block(
-    args: tuple,
+def _scan(
+    inst: Instance,
+    universe: Sequence[int],
+    c: int,
+    closed: bool,
+    maximize: bool,
+    stop_value: int,
+    incumbent: int | None = None,
+    floor: list[int] | None = None,
 ) -> tuple[int | None, tuple[int, ...] | None, int, bool]:
-    """Scan one block for the best influence value.
+    """Scan all size-c seeds drawn from `universe` for the best influence.
 
     Returns (best_value, best_seed, seeds_scanned, stopped_at_bound); the
     scan stops early only when `stop_value` is reached, which no later seed
     in the enumeration could beat or tie-break.  `seeds_scanned` is the
-    block's lexicographic count up to that seed (all of it if none stops),
-    with every skipped subtree counted at its full size.
+    lexicographic count up to that seed (all of them if none stops), with
+    every skipped subtree counted at its full size.  Given an `incumbent`
+    value, the scan reports only seeds strictly better than it ((None,
+    None, ...) if there are none).
 
     A max-goal scan skips dominated subtrees (see the module docstring).  A
-    min-goal scan given an `incumbent` value reports only seeds strictly
-    below it ((None, None, ...) if there are none) and skips every prefix
-    whose closure already reaches the running best, since adding seeds
-    never shrinks a closure.  Given a `floor` table (floor[v] = |cl({v})|),
-    it also skips, unevaluated, every candidate v whose floor already
-    reaches the running best.
+    min-goal scan skips every prefix whose closure already reaches the
+    running best, since adding seeds never shrinks a closure.  Given a
+    `floor` table (floor[v] = |cl({v})|), it also skips, unevaluated, every
+    candidate v whose floor already reaches the running best.
 
     Internal levels push each candidate on the journal and pop it after its
     subtree.  The last level (one seed still needed) evaluates a candidate
@@ -120,8 +113,7 @@ def _scan_block(
     skips, stop test and dominance stamps as an internal level, and copies
     the prefix only when a leaf improves the best value.
     """
-    inst, universe, c, first, last, closed, maximize, stop_value, incumbent, floor = args
-    prop = Propagator(inst if inst is not None else _WORKER_INST)
+    prop = Propagator(inst)
     gain = prop.gain
     offset = 0 if closed else c
     best_v: int | None = incumbent
@@ -199,7 +191,7 @@ def _scan_block(
                 return True
         return False
 
-    stopped = rec(first, last, c)
+    stopped = rec(0, u - c + 1, c)
     if best_seed is None:
         return None, None, scanned, stopped
     return best_v, best_seed, scanned, stopped
@@ -214,40 +206,7 @@ def _singleton_closures(inst: Instance, universe: Sequence[int]) -> list[int]:
     return floor
 
 
-def _blocks(u: int, c: int, whole: bool) -> list[tuple[int, int]]:
-    """The size-c scan as one block, or as one block per first vertex."""
-    if whole:
-        return [(0, u - c + 1)]
-    return [(first, first + 1) for first in range(u - c + 1)]
-
-
-def _map_blocks(inst: Instance, tasks: list[tuple], threads: int) -> list[tuple]:
-    """Run `_scan_block` tasks in order, sequentially or on a fork pool.
-
-    Returns reports in block order.  Run sequentially, the list ends at the
-    first report that stopped at its bound; a pool computes every block and
-    the caller discards reports after a stopping one, so results cannot
-    depend on the thread count.  The pool is drained and joined before the
-    `with` block exits, whose terminate() can deadlock on a busy pool.
-    """
-    if threads <= 1 or len(tasks) <= 1:
-        reports = []
-        for t in tasks:
-            reports.append(_scan_block((inst,) + t))
-            if reports[-1][3]:
-                break
-        return reports
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=threads, initializer=_pool_init, initargs=(inst,)) as pool:
-        reports = pool.map(_scan_block, [(None,) + t for t in tasks])
-        pool.close()
-        pool.join()
-    return reports
-
-
-def optimal_target_set(
-    inst: Instance, size_cap: int | None = None, *, threads: int = 1
-) -> SolveResult:
+def optimal_target_set(inst: Instance, size_cap: int | None = None) -> SolveResult:
     """Smallest target set, by exhaustive cardinality-major search.
 
     Seeds are enumerated by increasing cardinality and lexicographically
@@ -260,7 +219,7 @@ def optimal_target_set(
     an earlier sibling activates, where that sibling's subtree held no
     target set, cannot lead to one either.  `explored` is the lexicographic
     rank of the returned seed (the full count when there is none), with
-    skipped subtrees counted at full size, for any `threads`.
+    skipped subtrees counted at full size.
     """
     if size_cap is not None and size_cap < 0:
         raise ValueError("size_cap must be nonnegative")
@@ -276,14 +235,10 @@ def optimal_target_set(
                     "target-set", frozenset(), 0, True, explored
                 )
             continue
-        tasks = [
-            (universe, c, first, last, True, True, n, None, None)
-            for first, last in _blocks(n, c, threads <= 1)
-        ]
-        for _, seed, scanned, stopped in _map_blocks(inst, tasks, threads):
-            explored += scanned
-            if stopped:
-                return SolveResult("target-set", frozenset(seed), c, True, explored)
+        _, seed, scanned, stopped = _scan(inst, universe, c, True, True, n)
+        explored += scanned
+        if stopped:
+            return SolveResult("target-set", frozenset(seed), c, True, explored)
     return SolveResult("target-set", None, None, False, explored)
 
 
@@ -295,7 +250,6 @@ def k_influence(
     exact_cardinality: bool | None = None,
     *,
     universe: Sequence[int] | None = None,
-    threads: int = 1,
     max_evaluations: int = DEFAULT_EVALUATION_LIMIT,
 ) -> SolveResult:
     """Exhaustive best-influence seed of bounded size.
@@ -310,14 +264,14 @@ def k_influence(
     value, cannot lead to a seed worth more.  `explored` is then the
     lexicographic rank of the seed where the scan stopped (the full count
     if none), with skipped subtrees counted at full size.  Minimization
-    runs each cardinality's first block alone and then the remaining blocks
-    from its best value.  It prunes a prefix by the monotone closure bound,
-    and, for c >= 2, skips a candidate v unpushed when |cl({v})| (less c in
-    open mode) already reaches the best value, since every seed holding v
+    scans each cardinality in one lexicographic pass with a running
+    incumbent.  It prunes a prefix by the monotone closure bound, and, for
+    c >= 2, skips a candidate v unpushed when |cl({v})| (less c in open
+    mode) already reaches the best value, since every seed holding v
     closes to at least cl({v}).  `explored` counts the seed sets evaluated,
     so it excludes both kinds of skipped subtree.  Either way (see the
     module docstring) values and witnesses are those of the full
-    enumeration, and `explored` does not depend on `threads`.
+    enumeration.
     """
     if mode not in ("open", "closed"):
         raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
@@ -368,37 +322,17 @@ def k_influence(
             if val == stop_value:
                 break
             continue
-        if maximize:
-            waves = [_blocks(len(uni), c, threads <= 1)]
-        else:
-            # At c = 1 the leaf evaluation is the singleton closure itself,
-            # so the floor table would only double the work.
-            if c >= 2 and floor is None:
-                floor = _singleton_closures(inst, uni)
-            # The min goal's incumbent must not depend on which blocks
-            # finished first, so the first block runs alone and the rest
-            # start from it.
-            firsts = _blocks(len(uni), c, False)
-            waves = [firsts[:1], firsts[1:]]
-        hit_bound = False
-        for wave in waves:
-            incumbent = None if maximize else best_v
-            tasks = [
-                (uni, c, first, last, mode == "closed", maximize, stop_value, incumbent, floor)
-                for first, last in wave
-            ]
-            for bv, bs, scanned, stopped in _map_blocks(inst, tasks, threads):
-                explored += scanned
-                if bv is not None and (
-                    best_v is None or (bv > best_v if maximize else bv < best_v)
-                ):
-                    best_v, best_seed = bv, bs
-                if stopped:
-                    hit_bound = True
-                    break
-            if hit_bound:
-                break
-        if hit_bound:
+        # At c = 1 the leaf evaluation is the singleton closure itself, so
+        # the floor table would only double the work.
+        if not maximize and c >= 2 and floor is None:
+            floor = _singleton_closures(inst, uni)
+        bv, bs, scanned, stopped = _scan(
+            inst, uni, c, mode == "closed", maximize, stop_value, best_v, floor
+        )
+        explored += scanned
+        if bs is not None:
+            best_v, best_seed = bv, bs
+        if stopped:
             break
     assert best_v is not None and best_seed is not None
     return SolveResult(
@@ -436,7 +370,6 @@ def greedy_target_set(inst: Instance) -> SolveResult:
         assert chosen is not None
         seed.append(chosen)
         prop.push_one(chosen)
-    prop.reset()
     return SolveResult("target-set-greedy", frozenset(seed), len(seed), False, explored)
 
 

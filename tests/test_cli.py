@@ -80,18 +80,6 @@ def test_solve_negative_cap_exits_2(inst_file, capsys):
     assert "size_cap must be nonnegative" in capsys.readouterr().err
 
 
-def test_solve_threads_flag_same_output(tmp_path, capsys):
-    p = tmp_path / "g.tss"
-    from tsslab.cli import main as cli_main
-
-    assert cli_main(["gen", "-n", "9", "-p", "0.5", "--seed", "4", "-o", str(p)]) == 0
-    base = ["solve", "-i", str(p), "--problem", "k-influence", "-k", "2"]
-    assert cli_main(base) == 0
-    one = capsys.readouterr().out
-    assert cli_main(base + ["--threads", "3"]) == 0
-    assert capsys.readouterr().out == one
-
-
 def test_solve_decision_bound(inst_file, capsys):
     args = ["solve", "-i", inst_file, "--problem", "k-influence", "-k", "1",
             "--goal", "min", "--mode", "open"]
@@ -160,6 +148,21 @@ def test_verify_small_propagation(capsys):
 def test_verify_unknown_flag_exits_2(capsys):
     assert main(["verify", "padding", "--trials", "5"]) == 2
     assert "does not take" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suite, flag, value",
+    [
+        ("propagation", "--trials", "-3"),
+        ("threshold-reduction", "--trials", "-2"),
+        ("unanimity-min-open", "--trials", "-1"),
+        ("circuit-equivalence", "--max-inputs", "-1"),
+    ],
+)
+def test_verify_negative_count_exits_2(suite, flag, value, capsys):
+    assert main(["verify", suite, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and "PASS" not in captured.out
 
 
 def test_verify_unknown_suite_exits_2(capsys):
