@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .instance import ParseError
+from .instance import ParseError, _rows
 
 BRUTE_FORCE_INPUT_BOUND = 20
 
@@ -37,9 +37,6 @@ class MonotoneCircuit:
     @property
     def gates(self) -> tuple[int, ...]:
         return tuple(v for v in self.topo if self.kinds[v] != "input")
-
-    def wires(self) -> list[tuple[int, int]]:
-        return [(u, v) for v in self.topo for u in self.preds[v]]
 
 
 def build_circuit(
@@ -118,14 +115,7 @@ def parse_circuit(text: str) -> MonotoneCircuit:
     `gate <id> and|or <in1> <in2> [...]` line per node, and a final
     `output <id>` line.  '#' comments and blank lines are skipped.
     """
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        hash_at = raw.find("#")
-        if hash_at >= 0:
-            raw = raw[:hash_at]
-        body = raw.strip()
-        if body:
-            rows.append((lineno, body.split()))
+    rows = _rows(text)
     if not rows:
         raise ParseError("line 1: missing circuit header")
 
@@ -182,10 +172,7 @@ def parse_circuit(text: str) -> MonotoneCircuit:
         raise ParseError(f"line {lineno}: expected 'output <id>'")
     if not 1 <= out <= n:
         raise ParseError(f"line {lineno}: output id {out} out of range 1..{n}")
-    try:
-        return build_circuit([k for k in kinds[1:] if k], preds[1:], out)
-    except ParseError as exc:
-        raise ParseError(str(exc))
+    return build_circuit([k for k in kinds[1:] if k], preds[1:], out)
 
 
 def write_circuit(c: MonotoneCircuit) -> str:

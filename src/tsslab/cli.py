@@ -7,6 +7,7 @@ error.  All randomized subcommands are reproducible from --seed.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
@@ -14,7 +15,6 @@ from . import verify
 from .circuits import parse_circuit
 from .instance import (
     GeneratorConfig,
-    Instance,
     ParseError,
     generate_random,
     parse_instance,
@@ -48,6 +48,27 @@ SOLVE_PROBLEMS = (
 )
 
 REDUCTIONS = ("mcs", "thresholds-to-two", "clique", "is-decision", "is-min-closed")
+
+# The two gap constructions: builder and padding variant.
+_GAP_REDUCTIONS = {
+    "clique": (clique_to_max_influence, "clique"),
+    "is-min-closed": (is_to_min_closed_influence, "min-closed"),
+}
+
+# `verify` flags: (flag, suite keyword, least value).  Sizes start at 1,
+# counts at 0, and --seed takes any integer.
+_VERIFY_FLAGS = (
+    ("--trials", "trials", 0),
+    ("--graphs", "graphs", 0),
+    ("--n", "max_n", 1),
+    ("--seed", "seed", None),
+    ("--max-inputs", "max_inputs", 1),
+    ("--max-gates", "max_gates", 1),
+    ("--peels", "peels", 0),
+    ("--random-seeds", "random_seeds", 0),
+    ("--chains", "max_chain", 0),
+    ("--k-max", "k_max", 0),
+)
 
 
 def format_trace(trace: PropagationTrace) -> str:
@@ -165,16 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a property suite")
     ver.add_argument("suite", choices=sorted(verify.SUITES))
-    ver.add_argument("--trials", type=int, default=None)
-    ver.add_argument("--graphs", type=int, default=None)
-    ver.add_argument("--n", type=int, default=None, dest="max_n")
-    ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--max-inputs", type=int, default=None)
-    ver.add_argument("--max-gates", type=int, default=None)
-    ver.add_argument("--peels", type=int, default=None)
-    ver.add_argument("--random-seeds", type=int, default=None)
-    ver.add_argument("--chains", type=int, default=None, dest="max_chain")
-    ver.add_argument("--k-max", type=int, default=None)
+    for flag, name, _ in _VERIFY_FLAGS:
+        ver.add_argument(flag, type=int, default=None, dest=name)
     return parser
 
 
@@ -230,33 +243,21 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         r = mcs_to_tss(parse_circuit(_read(args.input)))
     elif args.name == "thresholds-to-two":
         r = reduce_thresholds_to_two(parse_instance(_read(args.input)))
-    elif args.name == "clique":
-        if args.k is None:
-            raise ParseError("the clique reduction needs -k")
-        g = parse_instance(_read(args.input)).graph
-        if args.rho is not None:
-            params = choose_gap_padding(
-                args.k, rho_preset(args.rho), "clique", rho_label=args.rho
-            )
-            r = clique_to_max_influence(g, args.k, params)
-        else:
-            r = clique_to_max_influence(g, args.k, h=args.h)
-    elif args.name == "is-decision":
-        if args.k is None:
-            raise ParseError("the is-decision reduction needs -k")
-        g = parse_instance(_read(args.input)).graph
-        r = is_to_influence_decision(g, args.k, args.mode)
     else:
         if args.k is None:
-            raise ParseError("the is-min-closed reduction needs -k")
+            raise ParseError(f"the {args.name} reduction needs -k")
         g = parse_instance(_read(args.input)).graph
-        if args.rho is not None:
-            params = choose_gap_padding(
-                args.k, rho_preset(args.rho), "min-closed", rho_label=args.rho
-            )
-            r = is_to_min_closed_influence(g, args.k, params)
+        if args.name == "is-decision":
+            r = is_to_influence_decision(g, args.k, args.mode)
         else:
-            r = is_to_min_closed_influence(g, args.k, h=args.h)
+            build, variant = _GAP_REDUCTIONS[args.name]
+            if args.rho is not None:
+                params = choose_gap_padding(
+                    args.k, rho_preset(args.rho), variant, rho_label=args.rho
+                )
+                r = build(g, args.k, params)
+            else:
+                r = build(g, args.k, h=args.h)
     (outdir / "instance.tss").write_text(write_instance(r.instance), encoding="utf-8")
     (outdir / "provenance.txt").write_text(r.provenance_text(), encoding="utf-8")
     (outdir / "params.txt").write_text(format_params(r), encoding="utf-8")
@@ -266,27 +267,14 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     suite = verify.SUITES[args.suite]
     kwargs = {}
-    # (attribute, flag); every flag but --seed is a count.
-    for name, flag in (
-        ("trials", "--trials"),
-        ("graphs", "--graphs"),
-        ("max_n", "--n"),
-        ("seed", "--seed"),
-        ("max_inputs", "--max-inputs"),
-        ("max_gates", "--max-gates"),
-        ("peels", "--peels"),
-        ("random_seeds", "--random-seeds"),
-        ("max_chain", "--chains"),
-        ("k_max", "--k-max"),
-    ):
-        value = getattr(args, name, None)
+    for flag, name, least in _VERIFY_FLAGS:
+        value = getattr(args, name)
         if value is None:
             continue
-        if name != "seed" and value < 0:
-            raise ParseError(f"{flag} must be nonnegative, got {value}")
+        if least is not None and value < least:
+            need = "nonnegative" if least == 0 else f"at least {least}"
+            raise ParseError(f"{flag} must be {need}, got {value}")
         kwargs[name] = value
-    import inspect
-
     accepted = set(inspect.signature(suite).parameters)
     unknown = set(kwargs) - accepted
     if unknown:

@@ -29,10 +29,6 @@ class DirectedEdgeGadget:
     c: int
     d: int
 
-    @property
-    def vertices(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
 
 @dataclass(frozen=True)
 class ActivationGadget:
@@ -64,9 +60,6 @@ class ReducedInstance:
     k: int | None = None
     ell: int | None = None
     params: "object | None" = None
-
-    def tag(self, v: int) -> str:
-        return self.provenance[v]
 
     def tagged(self, prefix: str) -> tuple[int, ...]:
         return tuple(
@@ -125,9 +118,6 @@ class InstanceBuilder:
         if threshold < 1:
             raise ValueError("threshold below 1")
         self._thr[v] = threshold
-
-    def threshold(self, v: int) -> int:
-        return self._thr[v]
 
     def add_directed_edge_gadget(self, u: int, v: int) -> DirectedEdgeGadget:
         """One-way relay from u to v: 4 fresh vertices, 6 fresh edges."""

@@ -55,10 +55,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    @property
-    def max_degree(self) -> int:
-        return max((len(a) for a in self.adj[1:]), default=0)
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
 
@@ -104,9 +100,6 @@ class Instance:
     @property
     def m(self) -> int:
         return self.graph.m
-
-    def threshold(self, v: int) -> int:
-        return self.thr[v]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -181,11 +174,18 @@ def generate_random(cfg: GeneratorConfig) -> Instance:
     return Instance(g, thr)
 
 
-def _strip(line: str) -> str:
-    hash_at = line.find("#")
-    if hash_at >= 0:
-        line = line[:hash_at]
-    return line.strip()
+def _rows(text: str) -> list[tuple[int, list[str]]]:
+    """(1-based line number, tokens) of every line left nonblank once its
+    '#' comment is cut; both text formats read their lines through this."""
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        hash_at = raw.find("#")
+        if hash_at >= 0:
+            raw = raw[:hash_at]
+        tokens = raw.split()
+        if tokens:
+            rows.append((lineno, tokens))
+    return rows
 
 
 def parse_instance(text: str) -> Instance:
@@ -195,11 +195,7 @@ def parse_instance(text: str) -> Instance:
     then m `e <u> <v>` lines with u < v.  '#' starts a comment; blank lines
     are skipped.  Errors carry the 1-based line number.
     """
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = _strip(raw)
-        if body:
-            rows.append((lineno, body.split()))
+    rows = _rows(text)
     if not rows:
         raise ParseError("line 1: missing header")
 

@@ -10,10 +10,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, permutations, product
+from math import comb
 from typing import Iterable, Sequence
 
-from .circuits import MonotoneCircuit, build_circuit, evaluate, min_weight_satisfying
+from .circuits import (
+    MonotoneCircuit,
+    build_circuit,
+    evaluate,
+    min_weight_satisfying,
+    write_circuit,
+)
 from .gadgets import InstanceBuilder, reduce_thresholds_to_two
 from .instance import (
     GeneratorConfig,
@@ -277,100 +284,51 @@ def enumerate_small_circuits(max_inputs: int = 3, max_gates: int = 3) -> list[Mo
 
     Gates are laid out in topological order after the inputs; structures
     whose sink is not unique are discarded, and the survivors are
-    deduplicated under kind-preserving vertex bijections.
+    deduplicated under kind-preserving vertex bijections.  The first
+    circuit met in each class represents it.
     """
     out: list[MonotoneCircuit] = []
     seen: set[tuple] = set()
-
-    def canonical(kinds: list[str], preds: list[tuple[int, ...]], output: int) -> tuple:
-        from itertools import permutations
-
-        n = len(kinds)
-        by_kind: dict[str, list[int]] = {}
-        for i, k in enumerate(kinds, start=1):
-            by_kind.setdefault(k, []).append(i)
-        groups = sorted(by_kind)
-        best = None
-        perm_sets = [list(permutations(by_kind[g])) for g in groups]
-
-        def assemble(choice: list[tuple[int, ...]]) -> tuple:
-            mapping = {}
-            for g, perm in zip(groups, choice):
-                for src, dst in zip(by_kind[g], perm):
-                    mapping[src] = dst
-            nodes = sorted(
-                (mapping[i], kinds[i - 1], tuple(sorted(mapping[p] for p in preds[i - 1])))
-                for i in range(1, n + 1)
-            )
-            return (tuple(nodes), mapping[output])
-
-        def walk(idx: int, choice: list[tuple[int, ...]]) -> None:
-            nonlocal best
-            if idx == len(groups):
-                key = assemble(choice)
-                if best is None or key < best:
-                    best = key
-                return
-            for perm in perm_sets[idx]:
-                choice.append(perm)
-                walk(idx + 1, choice)
-                choice.pop()
-
-        walk(0, [])
-        assert best is not None
-        return best
-
-    def pred_options(pos: int) -> list[tuple[int, ...]]:
-        pool = range(1, pos)
-        opts = []
-        for size in range(2, pos):
-            opts.extend(combinations(pool, size))
-        return opts
-
     for ni in range(1, max_inputs + 1):
         for ng in range(max_gates + 1):
-            if ng == 0:
-                if ni == 1:
-                    c = build_circuit(["input"], [()])
-                    key = canonical(["input"], [()], 1)
+            total = ni + ng
+            # Node `pos` may read any two or more of the nodes before it.
+            slots = [
+                [ps for size in range(2, pos) for ps in combinations(range(1, pos), size)]
+                for pos in range(ni + 1, total + 1)
+            ]
+            for gate_preds in product(*slots):
+                if {p for ps in gate_preds for p in ps} != set(range(1, total)):
+                    continue  # another sink besides the last node
+                preds = [()] * ni + list(gate_preds)
+                for gate_kinds in product(("and", "or"), repeat=ng):
+                    kinds = ["input"] * ni + list(gate_kinds)
+                    key = _canonical(kinds, preds)
                     if key not in seen:
                         seen.add(key)
-                        out.append(c)
-                continue
-            total = ni + ng
-            slots = [pred_options(ni + g + 1) for g in range(ng)]
-
-            def emit(gate_preds: list[tuple[int, ...]]) -> None:
-                used = {p for ps in gate_preds for p in ps}
-                if any(v not in used for v in range(1, total)):
-                    return  # another sink besides the last gate
-                for kind_combo in _kind_products(ng):
-                    kinds = ["input"] * ni + list(kind_combo)
-                    preds = [()] * ni + gate_preds
-                    key = canonical(kinds, preds, total)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    out.append(build_circuit(kinds, preds))
-
-            def walk(idx: int, acc: list[tuple[int, ...]]) -> None:
-                if idx == ng:
-                    emit(acc)
-                    return
-                for opt in slots[idx]:
-                    acc.append(opt)
-                    walk(idx + 1, acc)
-                    acc.pop()
-
-            walk(0, [])
+                        out.append(build_circuit(kinds, preds))
     return out
 
 
-def _kind_products(ng: int) -> list[tuple[str, ...]]:
-    out = [()]
-    for _ in range(ng):
-        out = [t + (k,) for t in out for k in ("and", "or")]
-    return out
+def _canonical(kinds: list[str], preds: list[tuple[int, ...]]) -> tuple:
+    """Least relabelled node list over all kind-preserving bijections.
+
+    The output needs no place in the key: it is the node list's unique sink.
+    """
+    groups: dict[str, list[int]] = {}
+    for v, kind in enumerate(kinds, start=1):
+        groups.setdefault(kind, []).append(v)
+    sources = [v for group in groups.values() for v in group]
+    best = None
+    for choice in product(*(permutations(group) for group in groups.values())):
+        to = dict(zip(sources, chain.from_iterable(choice)))
+        key = sorted(
+            (to[v], kind, tuple(sorted(to[p] for p in ps)))
+            for v, (kind, ps) in enumerate(zip(kinds, preds), start=1)
+        )
+        if best is None or key < best:
+            best = key
+    return tuple(best)
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +392,6 @@ def suite_circuit_equivalence(
         assert wanted is not None
         res = optimal_target_set(r.instance, size_cap=c.n_inputs)
         if not res.optimal or res.value != len(wanted):
-            from .circuits import write_circuit
-
             return [
                 _fail(
                     "circuit-optimum-equality",
@@ -445,8 +401,6 @@ def suite_circuit_equivalence(
         assert res.seed is not None
         assignment = map_target_set_to_assignment(r, res.seed)
         if len(assignment) != res.value or not evaluate(c, assignment):
-            from .circuits import write_circuit
-
             return [
                 _fail(
                     "circuit-assignment-backmap",
@@ -777,8 +731,6 @@ def suite_gadget_direction(*, max_chain: int = 5) -> list[CheckOutcome]:
 
 def suite_padding(*, k_lo: int = 4, k_hi: int = 10) -> list[CheckOutcome]:
     """Padding arithmetic: defining inequalities hold and are tight."""
-    from math import comb
-
     for k in range(k_lo, k_hi + 1):
         for label in ("const:1", "const:2"):
             p = choose_gap_padding(k, rho_preset(label), "clique", rho_label=label)

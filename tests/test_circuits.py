@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -131,11 +132,24 @@ def test_min_weight_is_minimal_and_lex_first():
                 break
 
 
+# (max_inputs, max_gates) -> (count, sha256 of the concatenated circuit
+# texts): pins the family's members, their order and each class's
+# representative.
+ENUMERATED_FAMILIES = {
+    (2, 2): (11, "4c2916fc4d5da8d3cf0a7dffc70dc48c1920ec8f344778189e392aa530388474"),
+    (3, 3): (981, "b6c7aa8e578f1036c35755560f2faed6bcbd470e9b3dedec18296f03d00dd74b"),
+    (4, 2): (83, "c114e2b508c7e13de40ed43ba1a798c7dc51c0ac8629af5a4d0e412ec189ec4b"),
+}
+
+
 def test_enumeration_covers_known_shapes():
     circuits = enumerate_small_circuits(2, 1)
     # one degenerate input, and-of-two, or-of-two
     assert len(circuits) == 3
-    circuits = enumerate_small_circuits(3, 3)
-    assert len(circuits) > 100
-    for c in circuits[:50]:
-        assert evaluate(c, set(range(1, c.n_inputs + 1)))
+    for (max_inputs, max_gates), (count, digest) in ENUMERATED_FAMILIES.items():
+        family = enumerate_small_circuits(max_inputs, max_gates)
+        assert len(family) == count
+        text = "".join(map(write_circuit, family))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        for c in family[:50]:
+            assert evaluate(c, set(range(1, c.n_inputs + 1)))

@@ -157,6 +157,12 @@ def test_verify_unknown_flag_exits_2(capsys):
         ("threshold-reduction", "--trials", "-2"),
         ("unanimity-min-open", "--trials", "-1"),
         ("circuit-equivalence", "--max-inputs", "-1"),
+        ("propagation", "--n", "0"),
+        ("threshold-reduction", "--n", "0"),
+        ("unanimity-min-open", "--n", "0"),
+        ("unanimity-cover", "--n", "0"),
+        ("circuit-equivalence", "--max-inputs", "0"),
+        ("circuit-equivalence", "--max-gates", "0"),
     ],
 )
 def test_verify_negative_count_exits_2(suite, flag, value, capsys):
