@@ -66,8 +66,8 @@ _VERIFY_FLAGS = (
     ("--max-gates", "max_gates", 1),
     ("--peels", "peels", 0),
     ("--random-seeds", "random_seeds", 0),
-    ("--chains", "max_chain", 0),
-    ("--k-max", "k_max", 0),
+    ("--chains", "max_chain", 1),
+    ("--k-max", "k_max", 1),
 )
 
 
@@ -237,8 +237,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
     if args.name == "mcs":
         r = mcs_to_tss(parse_circuit(_read(args.input)))
     elif args.name == "thresholds-to-two":
@@ -258,6 +256,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
                 r = build(g, args.k, params)
             else:
                 r = build(g, args.k, h=args.h)
+    outdir = Path(args.output)
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "instance.tss").write_text(write_instance(r.instance), encoding="utf-8")
     (outdir / "provenance.txt").write_text(r.provenance_text(), encoding="utf-8")
     (outdir / "params.txt").write_text(format_params(r), encoding="utf-8")

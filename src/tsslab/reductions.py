@@ -239,6 +239,22 @@ def _incidence_layer(
     return edge_side
 
 
+def _gap_params(
+    k: int, params: GapParameters | None, h: int | None, variant: str
+) -> GapParameters:
+    """The padding a gap construction uses: `params` as given, checked
+    against k and `variant`, or the `variant` parameters for h (default 1)."""
+    if params is not None and h is not None:
+        raise ValueError("give either params or h, not both")
+    if params is None:
+        params = GapParameters.with_h(k, 1 if h is None else h, variant)
+    if params.variant != variant:
+        raise ValueError(f"params must come from the {variant} variant")
+    if params.k != k:
+        raise ValueError(f"params computed for k={params.k}, construction got k={k}")
+    return params
+
+
 def clique_to_max_influence(
     g: Graph, k: int, params: GapParameters | None = None, *, h: int | None = None
 ) -> ReducedInstance:
@@ -252,14 +268,7 @@ def clique_to_max_influence(
     """
     if k < 4:
         raise ValueError("clique construction requires k >= 4")
-    if params is not None and h is not None:
-        raise ValueError("give either params or h, not both")
-    if params is None:
-        params = GapParameters.with_h(k, 1 if h is None else h, "clique")
-    if params.variant != "clique":
-        raise ValueError("params must come from the clique variant")
-    if params.k != k:
-        raise ValueError(f"params computed for k={params.k}, construction got k={k}")
+    params = _gap_params(k, params, h, "clique")
 
     c2 = comb(k, 2)
     b = InstanceBuilder()
@@ -330,14 +339,7 @@ def is_to_min_closed_influence(
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must lie in 1..{g.n}")
-    if params is not None and h is not None:
-        raise ValueError("give either params or h, not both")
-    if params is None:
-        params = GapParameters.with_h(k, 1 if h is None else h, "min-closed")
-    if params.variant != "min-closed":
-        raise ValueError("params must come from the min-closed variant")
-    if params.k != k:
-        raise ValueError(f"params computed for k={params.k}, construction got k={k}")
+    params = _gap_params(k, params, h, "min-closed")
 
     b = InstanceBuilder()
     edge_vertex = _incidence_layer(b, g, lambda v: 1, max(1, k - 1))

@@ -7,9 +7,12 @@ smaller, seed.  The scans share propagation work between seeds that share
 a prefix: internal levels push and pop seeds on the Propagator journal
 (push_one/pop_to), and the last level evaluates each candidate in place
 with Propagator.gain, which returns what a push would activate and leaves
-the engine untouched, so a leaf costs no journal push or pop.  Each
-cardinality is one recursion, and it may stop early only when a seed
-reaches the problem's hard value bound.
+the engine untouched, so a leaf costs no journal push or pop.  Both exact
+solvers, `optimal_target_set` and `k_influence`, run through one
+`_search`, which scans the cardinalities in order with one Propagator and
+keeps one incumbent across them.  Each cardinality is one recursion, and
+the search stops early only when a seed reaches the problem's hard value
+bound.
 
 Target-set and maximum-influence scans skip dominated subtrees.  At a
 node with prefix P, once the child v at universe index i has been searched
@@ -44,7 +47,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .instance import Instance
 from .propagation import Propagator
@@ -77,35 +80,35 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# Scan kernel.  One call scans every size-c subset of `universe` in
-# lexicographic order, under one running incumbent.
+# Exhaustive search.  One call scans the subsets of `universe` of every size
+# in `sizes`, cardinality-major and lexicographic, under one running
+# incumbent.
 
 
-def _scan(
+def _search(
     inst: Instance,
     universe: Sequence[int],
-    c: int,
+    sizes: Iterable[int],
     closed: bool,
     maximize: bool,
-    stop_value: int,
-    incumbent: int | None = None,
-    floor: list[int] | None = None,
-) -> tuple[int | None, tuple[int, ...] | None, int, bool]:
-    """Scan all size-c seeds drawn from `universe` for the best influence.
+) -> tuple[int | None, tuple[int, ...] | None, int]:
+    """Best influence over the seeds of each size in `sizes` (ascending)
+    drawn from `universe`.
 
-    Returns (best_value, best_seed, seeds_scanned, stopped_at_bound); the
-    scan stops early only when `stop_value` is reached, which no later seed
-    in the enumeration could beat or tie-break.  `seeds_scanned` is the
+    Returns (best_value, best_seed, explored).  A seed replaces the best
+    only when strictly better, so ties keep the earlier seed.  The search
+    stops early only when a seed of size c reaches the stop value (n for
+    max, c for min, each less c in open mode), which no later seed in the
+    enumeration could beat or tie-break.  For max, `explored` is the
     lexicographic count up to that seed (all of them if none stops), with
-    every skipped subtree counted at its full size.  Given an `incumbent`
-    value, the scan reports only seeds strictly better than it ((None,
-    None, ...) if there are none).
+    every skipped subtree counted at its full size; for min it counts the
+    seeds evaluated.
 
-    A max-goal scan skips dominated subtrees (see the module docstring).  A
-    min-goal scan skips every prefix whose closure already reaches the
-    running best, since adding seeds never shrinks a closure.  Given a
-    `floor` table (floor[v] = |cl({v})|), it also skips, unevaluated, every
-    candidate v whose floor already reaches the running best.
+    A max-goal search skips dominated subtrees (see the module docstring).
+    A min-goal search skips every prefix whose closure already reaches the
+    running best, since adding seeds never shrinks a closure.  From the
+    first c >= 2 on, it also skips, unevaluated, every candidate v whose
+    singleton closure |cl({v})| already reaches the running best.
 
     Internal levels push each candidate on the journal and pop it after its
     subtree.  The last level (one seed still needed) evaluates a candidate
@@ -115,32 +118,34 @@ def _scan(
     """
     prop = Propagator(inst)
     gain = prop.gain
-    offset = 0 if closed else c
-    best_v: int | None = incumbent
+    n = prop.n
+    best_v: int | None = None
     best_seed: tuple[int, ...] | None = None
-    scanned = 0
+    explored = 0
     u = len(universe)
     combo: list[int] = []
+    floor: list[int] | None = None
     # dominated[need - 1][w] == node: w is dominated at the open node of
-    # that depth; node ids are never reused, so stale stamps never match.
-    dominated = [[0] * (prop.n + 1) for _ in range(c)] if maximize else []
+    # that depth; node ids count on across cardinalities and are never
+    # reused, so stale stamps never match.
+    dominated: list[list[int]] = []
     nodes = 0
 
     def leaves(lo: int, hi: int, node: int, dom: list[int]) -> bool:
         # The last level: each candidate is evaluated in place by gain(v),
         # so a leaf costs no journal push or pop.
-        nonlocal best_v, best_seed, scanned
+        nonlocal best_v, best_seed, explored
         base = prop.active_count() - offset
         for i in range(lo, hi):
             v = universe[i]
             if maximize:
                 if dom[v] == node:
-                    scanned += 1
+                    explored += 1
                     continue
             elif floor is not None and best_v is not None and floor[v] - offset >= best_v:
                 continue
             new = gain(v)
-            scanned += 1
+            explored += 1
             val = base + len(new)
             if best_v is None or (val > best_v if maximize else val < best_v):
                 best_v = val
@@ -158,7 +163,7 @@ def _scan(
         return False
 
     def rec(lo: int, hi: int, need: int) -> bool:
-        nonlocal nodes, scanned
+        nonlocal nodes, explored
         node = 0
         dom: list[int] = []
         if maximize:
@@ -173,7 +178,7 @@ def _scan(
             v = universe[i]
             if maximize:
                 if dom[v] == node:
-                    scanned += comb(u - i - 1, need - 1)
+                    explored += comb(u - i - 1, need - 1)
                     continue
             elif floor is not None and best_v is not None and floor[v] - offset >= best_v:
                 continue
@@ -191,10 +196,25 @@ def _scan(
                 return True
         return False
 
-    stopped = rec(0, u - c + 1, c)
-    if best_seed is None:
-        return None, None, scanned, stopped
-    return best_v, best_seed, scanned, stopped
+    for c in sizes:
+        offset = 0 if closed else c
+        stop_value = (n if maximize else c) - offset
+        if c == 0:
+            # Sizes ascend, so the empty seed is the first one ruled on.
+            explored += 1
+            best_v, best_seed = 0, ()
+            if stop_value == 0:
+                break
+            continue
+        if maximize:
+            dominated.extend([0] * (n + 1) for _ in range(len(dominated), c))
+        elif c >= 2 and floor is None:
+            # At c = 1 the leaf evaluation is the singleton closure itself,
+            # so the floor table would only double the work.
+            floor = _singleton_closures(inst, universe)
+        if rec(0, u - c + 1, c):
+            break
+    return best_v, best_seed, explored
 
 
 def _singleton_closures(inst: Instance, universe: Sequence[int]) -> list[int]:
@@ -225,20 +245,9 @@ def optimal_target_set(inst: Instance, size_cap: int | None = None) -> SolveResu
         raise ValueError("size_cap must be nonnegative")
     n = inst.n
     cap = n if size_cap is None else min(size_cap, n)
-    universe = tuple(range(1, n + 1))
-    explored = 0
-    for c in range(cap + 1):
-        if c == 0:
-            explored += 1
-            if n == 0:
-                return SolveResult(
-                    "target-set", frozenset(), 0, True, explored
-                )
-            continue
-        _, seed, scanned, stopped = _scan(inst, universe, c, True, True, n)
-        explored += scanned
-        if stopped:
-            return SolveResult("target-set", frozenset(seed), c, True, explored)
+    value, seed, explored = _search(inst, tuple(range(1, n + 1)), range(cap + 1), True, True)
+    if value == n:
+        return SolveResult("target-set", frozenset(seed), len(seed), True, explored)
     return SolveResult("target-set", None, None, False, explored)
 
 
@@ -297,48 +306,19 @@ def k_influence(
     else:
         sizes = list(range(0, min(k, len(uni)) + 1))
 
-    total = sum(comb(len(uni), c) for c in sizes)
+    total = sum(comb(len(uni), size) for size in sizes)
     if total > max_evaluations:
         raise ValueError(
             f"enumeration would evaluate about {total} seed sets, "
             f"above the limit of {max_evaluations}"
         )
 
-    maximize = goal == "max"
-    floor: list[int] | None = None
-    best_v: int | None = None
-    best_seed: tuple[int, ...] | None = None
-    explored = 0
-    for c in sizes:
-        if maximize:
-            stop_value = n if mode == "closed" else n - c
-        else:
-            stop_value = c if mode == "closed" else 0
-        if c == 0:
-            explored += 1
-            val = 0
-            if best_v is None or (val > best_v if maximize else val < best_v):
-                best_v, best_seed = val, ()
-            if val == stop_value:
-                break
-            continue
-        # At c = 1 the leaf evaluation is the singleton closure itself, so
-        # the floor table would only double the work.
-        if not maximize and c >= 2 and floor is None:
-            floor = _singleton_closures(inst, uni)
-        bv, bs, scanned, stopped = _scan(
-            inst, uni, c, mode == "closed", maximize, stop_value, best_v, floor
-        )
-        explored += scanned
-        if bs is not None:
-            best_v, best_seed = bv, bs
-        if stopped:
-            break
-    assert best_v is not None and best_seed is not None
+    value, seed, explored = _search(inst, uni, sizes, mode == "closed", goal == "max")
+    assert value is not None and seed is not None
     return SolveResult(
         "k-influence",
-        frozenset(best_seed),
-        best_v,
+        frozenset(seed),
+        value,
         True,
         explored,
         k=k,

@@ -121,6 +121,14 @@ def test_reduce_clique_small_k_exits_2(tmp_path, capsys):
     assert "k >= 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source, k", [("g.tss", []), ("missing.tss", ["-k", "4"])])
+def test_reduce_error_leaves_no_output_dir(tmp_path, source, k):
+    (tmp_path / "g.tss").write_text(TWO_PATH)
+    out = tmp_path / "out" / "x"
+    assert main(["reduce", "clique", "-i", str(tmp_path / source), *k, "-o", str(out)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_reduce_thresholds_to_two(tmp_path):
     g = tmp_path / "g.tss"
     g.write_text(TWO_PATH)
@@ -163,6 +171,9 @@ def test_verify_unknown_flag_exits_2(capsys):
         ("unanimity-cover", "--n", "0"),
         ("circuit-equivalence", "--max-inputs", "0"),
         ("circuit-equivalence", "--max-gates", "0"),
+        ("gadget-direction", "--chains", "0"),
+        ("min-closed-gap", "--k-max", "0"),
+        ("independence-decision", "--k-max", "0"),
     ],
 )
 def test_verify_negative_count_exits_2(suite, flag, value, capsys):

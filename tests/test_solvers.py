@@ -306,6 +306,9 @@ def test_unanimity_solver_agrees_with_search_at_scale():
 # dominance pruning against a plain lexicographic scan -----------------------
 
 
+EMPTY_AND_EDGELESS = (Instance(Graph(0), []), Instance(Graph(2), [1, 1]))
+
+
 def lex_scan(inst, universe, sizes, value, stop):
     """Plain cardinality-major scan: (best value, its seed, seeds counted).
 
@@ -378,6 +381,13 @@ def test_dominance_scans_match_lexicographic_scan():
         )
         for mode in ("closed", "open"):
             check_max_scan(inst, 3, mode, None)
+    # No vertices at all, and two vertices that activate only themselves.
+    for inst in EMPTY_AND_EDGELESS:
+        for cap_or_k in (0, inst.n):
+            check_target_scan(inst, cap_or_k)
+            for mode in ("closed", "open"):
+                for exact in (False, True):
+                    check_max_scan(inst, cap_or_k, mode, None, exact)
 
 
 def test_dominance_scans_on_compiled_circuits():
@@ -479,3 +489,9 @@ def test_min_floor_matches_brute_force():
             uni = range(1, inst.n + 1) if universe is None else sorted(universe)
             ref = naive_min_scan(inst, uni, sizes, mode == "closed")
             assert (res.value, res.seed, res.explored) == ref, (cases, k, mode, exact, universe)
+    for inst in EMPTY_AND_EDGELESS:
+        for mode in ("closed", "open"):
+            for exact in (None, True, False):
+                res = k_influence(inst, 0, mode, "min", exact)
+                ref = naive_min_scan(inst, range(1, inst.n + 1), [0], mode == "closed")
+                assert (res.value, res.seed, res.explored) == ref, (inst.n, mode, exact)
