@@ -50,9 +50,6 @@ def build_circuit(
     n = len(kinds)
     if len(preds) != n:
         raise ValueError("kinds and preds must have equal length")
-    if n == 0:
-        return MonotoneCircuit((("",)), ((),), 0, (), ())
-
     kin = ("",) + tuple(kinds)
     pin: list[tuple[int, ...]] = [()]
     for i, ps in enumerate(preds, start=1):
@@ -188,8 +185,6 @@ def write_circuit(c: MonotoneCircuit) -> str:
 
 def evaluate(c: MonotoneCircuit, assignment: Iterable[int]) -> bool:
     """Evaluate in topological order; and = conjunction, or = disjunction."""
-    if c.n_nodes == 0:
-        return False
     true_positions = set(assignment)
     for pos in true_positions:
         if not 1 <= pos <= c.n_inputs:
@@ -209,17 +204,14 @@ def evaluate(c: MonotoneCircuit, assignment: Iterable[int]) -> bool:
 
 def min_weight_satisfying(
     c: MonotoneCircuit, max_inputs: int = BRUTE_FORCE_INPUT_BOUND
-) -> frozenset[int] | None:
+) -> frozenset[int]:
     """Exhaustive minimum-weight satisfying assignment.
 
     Subsets are tried by increasing cardinality, lexicographically within a
     cardinality, so the first hit is a minimum-weight assignment with the
-    lexicographically smallest true-input set.  Returns None only for the
-    empty circuit; every nonempty monotone circuit is satisfied by the
-    all-true assignment.
+    lexicographically smallest true-input set.  One always exists: every
+    monotone circuit is satisfied by the all-true assignment.
     """
-    if c.n_nodes == 0:
-        return None
     n = c.n_inputs
     if n > max_inputs:
         raise ValueError(

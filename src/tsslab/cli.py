@@ -282,17 +282,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"suite {args.suite!r} does not take {sorted(unknown)}; "
             f"it accepts {sorted(accepted)}"
         )
-    outcomes = suite(**kwargs)
-    failed = False
-    for oc in outcomes:
-        if oc.passed:
-            print(f"PASS {oc.name}" + (f" - {oc.detail}" if oc.detail else ""))
-        else:
-            failed = True
-            print(f"FAIL {oc.name}")
-            for line in oc.detail.splitlines():
-                print(f"  {line}")
-    return 1 if failed else 0
+    try:
+        passed = suite(**kwargs)
+    except verify.Counterexample as cx:
+        print(f"FAIL {cx.name}")
+        for line in cx.detail.splitlines():
+            print(f"  {line}")
+        return 1
+    for line in passed:
+        print(f"PASS {line}")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

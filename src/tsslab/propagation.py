@@ -6,7 +6,7 @@ active after round i.  The process is a closure operator: monotone in the
 seed, idempotent, and it reaches its fixpoint within |V| rounds.
 
 Every one-shot run (`activate`, `activate_round`, `is_target_set`,
-`influence`, `Propagator.run`) goes through one countdown kernel, `_rounds`.
+`influence`) goes through one countdown kernel, `_rounds`.
 The `Propagator` journal serves only the internal levels of the exhaustive
 scans, which push and pop seeds around a shared prefix; a scan's leaves,
 its singleton-closure table and the greedy heuristic's candidates ask
@@ -61,9 +61,8 @@ class Propagator:
     undo journal, which the internal levels of exhaustive seed-set scans use
     to share the propagation work of common prefixes.  `gain` answers what
     one more seed would activate without a journal entry, which is how scan
-    leaves, singleton-closure tables and greedy candidates are evaluated;
-    `run` is a one-shot cascade that bypasses the journal.  Not thread-safe:
-    use one Propagator per thread.
+    leaves, singleton-closure tables and greedy candidates are evaluated.
+    Not thread-safe: use one Propagator per thread.
     """
 
     __slots__ = ("inst", "n", "_adj", "_thr", "_status", "_count", "_active", "_trail")
@@ -178,13 +177,6 @@ class Propagator:
 
     def active_set(self) -> frozenset[int]:
         return frozenset(self._active)
-
-    def run(self, seed: Iterable[int]) -> frozenset[int]:
-        """Fixpoint reached from `seed` alone, by the one-shot kernel.
-
-        The journal is neither read nor reset: pushed state is left as is.
-        """
-        return frozenset().union(*_rounds(self.inst, _check_seed(self.inst, seed)))
 
 
 def _rounds(inst: Instance, seed_list: list[int]) -> list[list[int]]:

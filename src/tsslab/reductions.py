@@ -150,8 +150,6 @@ def mcs_to_tss(c: MonotoneCircuit) -> ReducedInstance:
     one); every circuit wire becomes a directed edge gadget, replicated per
     copy; and each copy's output feeds a gadget back into every input.
     """
-    if c.n_nodes == 0:
-        raise ValueError("cannot compile an empty circuit")
     n = c.n_inputs
     copies = n + 1
     b = InstanceBuilder()

@@ -4,12 +4,15 @@ Everything here recomputes from definitions: propagation recounts neighbor
 sets from scratch each round, searches enumerate subsets with no counters
 and no shared state.  The optimized engine and solvers are validated by
 agreement with these oracles on randomized instance families.
+
+A suite returns one line per property it proved, or raises `Counterexample`
+at its first failed check, with the instance, circuit or parameters that
+reproduce the failure in its detail.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain, combinations, permutations, product
 from math import comb
 from typing import Iterable, Sequence
@@ -30,7 +33,13 @@ from .instance import (
     generate_random,
     write_instance,
 )
-from .propagation import PropagationTrace, Propagator, activate, activate_round
+from .propagation import (
+    PropagationTrace,
+    activate,
+    activate_round,
+    influence,
+    is_target_set,
+)
 from .reductions import (
     GapParameters,
     choose_gap_padding,
@@ -49,19 +58,18 @@ from .solvers import (
 )
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    passed: bool
-    detail: str = ""
+class Counterexample(Exception):
+    """The first failed check of a suite: the check's name and a detail that
+    reproduces it.  Deliberately not a ValueError, which the CLI reads as a
+    usage error."""
 
+    def __init__(self, name: str, detail: str):
+        super().__init__(name, detail)
+        self.name = name
+        self.detail = detail
 
-def _ok(name: str, detail: str = "") -> CheckOutcome:
-    return CheckOutcome(name, True, detail)
-
-
-def _fail(name: str, detail: str) -> CheckOutcome:
-    return CheckOutcome(name, False, detail)
+    def __str__(self) -> str:
+        return f"{self.name}: {self.detail}"
 
 
 # ---------------------------------------------------------------------------
@@ -332,93 +340,80 @@ def _canonical(kinds: list[str], preds: list[tuple[int, ...]]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Suites.
+# Suites.  Each returns the lines it proved, one per property and in a fixed
+# order, or raises Counterexample at its first failed check; the detail of a
+# failure carries the instance, circuit or parameters that reproduce it.
 
 
-def suite_propagation(*, trials: int = 1000, max_n: int = 30, seed: int = 0) -> list[CheckOutcome]:
+def _source(g: Graph) -> str:
+    """A source graph as instance text (all thresholds 1), for a detail."""
+    return write_instance(Instance(g, [1] * g.n))
+
+
+def suite_propagation(*, trials: int = 1000, max_n: int = 30, seed: int = 0) -> list[str]:
     """Engine traces against the recount oracle, plus trace invariants."""
     rng = random.Random(seed)
-    results = []
-    bad_trace = bad_step = bad_monotone = None
     for _ in range(trials):
         inst = random_instance(rng, max_n)
         s = random_seed_set(rng, inst.n)
         trace = activate(inst, s)
         problems = trace_violations(inst, trace)
-        if problems and bad_trace is None:
-            bad_trace = f"{problems[0]}\nseed {sorted(s)}\n{write_instance(inst)}"
+        if problems:
+            raise Counterexample(
+                "trace-oracle-agreement",
+                f"{problems[0]}\nseed {sorted(s)}\n{write_instance(inst)}",
+            )
         arbitrary = random_seed_set(rng, inst.n, rng.random())
         if activate_round(inst, arbitrary) != naive_round(inst, arbitrary):
-            if bad_step is None:
-                bad_step = f"seed {sorted(arbitrary)}\n{write_instance(inst)}"
+            raise Counterexample(
+                "single-step-recount", f"seed {sorted(arbitrary)}\n{write_instance(inst)}"
+            )
         bigger = s | random_seed_set(rng, inst.n, 0.2)
-        if not activate(inst, s).final_active <= activate(inst, bigger).final_active:
-            if bad_monotone is None:
-                bad_monotone = f"seeds {sorted(s)} vs {sorted(bigger)}\n{write_instance(inst)}"
-    results.append(
-        _ok(f"trace-oracle-agreement ({trials} instances)")
-        if bad_trace is None
-        else _fail("trace-oracle-agreement", bad_trace)
-    )
-    results.append(
-        _ok(f"single-step-recount ({trials} sets)")
-        if bad_step is None
-        else _fail("single-step-recount", bad_step)
-    )
-    results.append(
-        _ok(f"seed-monotonicity ({trials} pairs)")
-        if bad_monotone is None
-        else _fail("seed-monotonicity", bad_monotone)
-    )
-    return results
+        if not trace.final_active <= activate(inst, bigger).final_active:
+            raise Counterexample(
+                "seed-monotonicity",
+                f"seeds {sorted(s)} vs {sorted(bigger)}\n{write_instance(inst)}",
+            )
+    return [
+        f"trace-oracle-agreement ({trials} instances)",
+        f"single-step-recount ({trials} sets)",
+        f"seed-monotonicity ({trials} pairs)",
+    ]
 
 
 def suite_circuit_equivalence(
-    *,
-    max_inputs: int = 3,
-    max_gates: int = 3,
-    trials: int = 50,
-    seed: int = 0,
-    exhaustive: bool = True,
-) -> list[CheckOutcome]:
+    *, max_inputs: int = 3, max_gates: int = 3, trials: int = 50, seed: int = 0
+) -> list[str]:
     """Minimum target set of a compiled circuit == minimum satisfying weight."""
     rng = random.Random(seed)
-    circuits = enumerate_small_circuits(max_inputs, max_gates) if exhaustive else []
-    count_exhaustive = len(circuits)
-    circuits = circuits + [random_circuit(rng, max_inputs, max_gates) for _ in range(trials)]
+    circuits = enumerate_small_circuits(max_inputs, max_gates)
+    enumerated = len(circuits)
+    circuits += [random_circuit(rng, max_inputs, max_gates) for _ in range(trials)]
     for c in circuits:
         r = mcs_to_tss(c)
         wanted = min_weight_satisfying(c)
-        assert wanted is not None
         res = optimal_target_set(r.instance, size_cap=c.n_inputs)
         if not res.optimal or res.value != len(wanted):
-            return [
-                _fail(
-                    "circuit-optimum-equality",
-                    f"optimum {res.value} vs weight {len(wanted)}\n{write_circuit(c)}",
-                )
-            ]
+            raise Counterexample(
+                "circuit-optimum-equality",
+                f"optimum {res.value} vs weight {len(wanted)}\n{write_circuit(c)}",
+            )
         assert res.seed is not None
         assignment = map_target_set_to_assignment(r, res.seed)
         if len(assignment) != res.value or not evaluate(c, assignment):
-            return [
-                _fail(
-                    "circuit-assignment-backmap",
-                    f"assignment {sorted(assignment)}\n{write_circuit(c)}",
-                )
-            ]
+            raise Counterexample(
+                "circuit-assignment-backmap",
+                f"assignment {sorted(assignment)}\n{write_circuit(c)}",
+            )
     return [
-        _ok(
-            "circuit-optimum-equality "
-            f"({count_exhaustive} enumerated + {trials} random circuits)"
-        ),
-        _ok("circuit-assignment-backmap"),
+        f"circuit-optimum-equality ({enumerated} enumerated + {trials} random circuits)",
+        "circuit-assignment-backmap",
     ]
 
 
 def suite_threshold_reduction(
     *, trials: int = 200, max_n: int = 5, peels: int = 100, seed: int = 0
-) -> list[CheckOutcome]:
+) -> list[str]:
     """The thresholds<=2 rewrite: shape, optimum preservation, both solution
     transfer directions."""
     rng = random.Random(seed)
@@ -427,30 +422,25 @@ def suite_threshold_reduction(
         r = reduce_thresholds_to_two(inst)
         red = r.instance
         if any(red.thr[v] > 2 for v in range(1, red.n + 1)):
-            return [_fail("reduction-thresholds", write_instance(inst))]
+            raise Counterexample("reduction-thresholds", write_instance(inst))
         if not is_bipartite(red.graph):
-            return [_fail("reduction-bipartite", write_instance(inst))]
+            raise Counterexample("reduction-bipartite", write_instance(inst))
 
         opt_seed = brute_force_min_target_set(inst)
         assert opt_seed is not None
         opt = len(opt_seed)
-        prop = Propagator(red)
         for combo in combinations(range(1, inst.n + 1), opt):
-            if naive_is_target_set(inst, combo) and len(prop.run(combo)) != red.n:
-                return [
-                    _fail(
-                        "reduction-forward-transfer",
-                        f"optimal seed {combo} fails in the rewrite\n{write_instance(inst)}",
-                    )
-                ]
+            if naive_is_target_set(inst, combo) and not is_target_set(red, combo):
+                raise Counterexample(
+                    "reduction-forward-transfer",
+                    f"optimal seed {combo} fails in the rewrite\n{write_instance(inst)}",
+                )
         res = optimal_target_set(red, size_cap=opt)
         if res.value != opt:
-            return [
-                _fail(
-                    "reduction-optimum-preserved",
-                    f"optimum {opt} became {res.value}\n{write_instance(inst)}",
-                )
-            ]
+            raise Counterexample(
+                "reduction-optimum-preserved",
+                f"optimum {opt} became {res.value}\n{write_instance(inst)}",
+            )
 
         originals = list(range(1, inst.n + 1))
         gadget_pool = list(range(inst.n + 1, red.n + 1))
@@ -460,29 +450,27 @@ def suite_threshold_reduction(
             order = rng.sample(originals, len(originals)) + rng.sample(extras, len(extras))
             for v in order:
                 trial = chosen - {v}
-                if len(prop.run(trial)) == red.n:
+                if is_target_set(red, trial):
                     chosen = trial
             mapped = r.back_map(chosen)
             if len(mapped) > len(chosen) or not naive_is_target_set(inst, mapped):
-                return [
-                    _fail(
-                        "reduction-backward-transfer",
-                        f"minimal set {sorted(chosen)} maps to {sorted(mapped)}\n"
-                        + write_instance(inst),
-                    )
-                ]
+                raise Counterexample(
+                    "reduction-backward-transfer",
+                    f"minimal set {sorted(chosen)} maps to {sorted(mapped)}\n"
+                    + write_instance(inst),
+                )
     return [
-        _ok(f"reduction-thresholds ({trials} instances)"),
-        _ok("reduction-bipartite"),
-        _ok("reduction-forward-transfer"),
-        _ok("reduction-optimum-preserved"),
-        _ok(f"reduction-backward-transfer ({peels} peels per instance)"),
+        f"reduction-thresholds ({trials} instances)",
+        "reduction-bipartite",
+        "reduction-forward-transfer",
+        "reduction-optimum-preserved",
+        f"reduction-backward-transfer ({peels} peels per instance)",
     ]
 
 
 def suite_clique_gap(
     *, graphs: int = 100, random_seeds: int = 10000, seed: int = 0
-) -> list[CheckOutcome]:
+) -> list[str]:
     """Gap dichotomy for k=4, h=1: clique seeds reach the guaranteed yield,
     clique-free instances stay below the gap bound everywhere."""
     rng = random.Random(seed)
@@ -496,51 +484,43 @@ def suite_clique_gap(
         clique = find_clique(g, 4)
         if clique is not None:
             cliqueful += 1
-            prop = Propagator(red)
-            got = len(prop.run(clique))
+            got = influence(red, clique)
             if got != yield_bound:
-                return [
-                    _fail(
-                        "clique-side-yield",
-                        f"clique {clique} reached {got}, wanted {yield_bound}\n"
-                        + write_instance(Instance(g, [1] * g.n)),
-                    )
-                ]
+                raise Counterexample(
+                    "clique-side-yield",
+                    f"clique {clique} reached {got}, wanted {yield_bound}\n{_source(g)}",
+                )
         else:
             cliquefree += 1
             inner = r.tagged("v") + r.tagged("e")
             res = k_influence(red, 4, "closed", "max", universe=inner)
             if res.value is None or res.value >= params.g:
-                return [
-                    _fail(
-                        "cliquefree-side-bound",
-                        f"influence {res.value} >= {params.g} via {sorted(res.seed or ())}",
-                    )
-                ]
-            prop = Propagator(red)
+                raise Counterexample(
+                    "cliquefree-side-bound",
+                    f"influence {res.value} >= {params.g} via {sorted(res.seed or ())}\n"
+                    + _source(g),
+                )
             outer = [v for v in range(1, red.n + 1) if v > len(inner)]
             everything = list(range(1, red.n + 1))
             for _ in range(random_seeds):
                 s = {rng.choice(outer)}
                 while len(s) < 4:
                     s.add(rng.choice(everything))
-                if len(prop.run(s)) >= params.g:
-                    return [
-                        _fail(
-                            "cliquefree-random-seeds",
-                            f"seed {sorted(s)} reached the gap bound",
-                        )
-                    ]
+                if influence(red, s) >= params.g:
+                    raise Counterexample(
+                        "cliquefree-random-seeds",
+                        f"seed {sorted(s)} reached the gap bound\n{_source(g)}",
+                    )
     return [
-        _ok(f"clique-side-yield ({cliqueful} graphs, exact {yield_bound})"),
-        _ok(f"cliquefree-side-bound ({cliquefree} graphs, bound {params.g})"),
-        _ok(f"cliquefree-random-seeds ({random_seeds} per graph)"),
+        f"clique-side-yield ({cliqueful} graphs, exact {yield_bound})",
+        f"cliquefree-side-bound ({cliquefree} graphs, bound {params.g})",
+        f"cliquefree-random-seeds ({random_seeds} per graph)",
     ]
 
 
 def suite_independence_decision(
     *, graphs: int = 500, k_max: int = 4, seed: int = 0
-) -> list[CheckOutcome]:
+) -> list[str]:
     """Sound content of the influence-decision rewrite: an independent set
     keeps influence at the bound, and over vertex-side seeds the decision
     matches brute-force independence exactly."""
@@ -554,31 +534,27 @@ def suite_independence_decision(
             vertex_side = r.tagged("v")
             res = k_influence(r.instance, k, "closed", "min", universe=vertex_side)
             if (res.value == k) != has_is:
-                return [
-                    _fail(
-                        "independence-decision-vertex-side",
-                        f"k={k}: min closed {res.value} vs independence {has_is}\n"
-                        + write_instance(Instance(g, [1] * g.n)),
-                    )
-                ]
+                raise Counterexample(
+                    "independence-decision-vertex-side",
+                    f"k={k}: min closed {res.value} vs independence {has_is}\n{_source(g)}",
+                )
             open_res = k_influence(r.instance, k, "open", "min", universe=vertex_side)
             if (open_res.value == 0) != has_is:
-                return [
-                    _fail(
-                        "independence-decision-open",
-                        f"k={k}: min open {open_res.value} vs independence {has_is}",
-                    )
-                ]
+                raise Counterexample(
+                    "independence-decision-open",
+                    f"k={k}: min open {open_res.value} vs independence {has_is}\n"
+                    + _source(g),
+                )
             checked += 1
     return [
-        _ok(f"independence-decision-vertex-side ({checked} graph/k pairs)"),
-        _ok("independence-decision-open"),
+        f"independence-decision-vertex-side ({checked} graph/k pairs)",
+        "independence-decision-open",
     ]
 
 
 def suite_min_closed_gap(
     *, graphs: int = 500, k_max: int = 4, h: int = 3, seed: int = 0
-) -> list[CheckOutcome]:
+) -> list[str]:
     """Trigger-layer dichotomy: minimum closed influence is exactly k with a
     size-k independent set and at least k + h + 1 without one."""
     rng = random.Random(seed)
@@ -590,29 +566,26 @@ def suite_min_closed_gap(
             res = k_influence(r.instance, k, "closed", "min")
             has_is = has_independent_set(g, k)
             if has_is and res.value != k:
-                return [
-                    _fail(
-                        "min-closed-equals-k",
-                        f"k={k}: optimum {res.value} with an independent set present",
-                    )
-                ]
+                raise Counterexample(
+                    "min-closed-equals-k",
+                    f"k={k}: optimum {res.value} with an independent set present\n"
+                    + _source(g),
+                )
             if not has_is and (res.value is None or res.value < k + h + 1):
-                return [
-                    _fail(
-                        "min-closed-gap",
-                        f"k={k}: optimum {res.value} below {k + h + 1}",
-                    )
-                ]
+                raise Counterexample(
+                    "min-closed-gap",
+                    f"k={k}: optimum {res.value} below {k + h + 1}\n{_source(g)}",
+                )
             checked += 1
     return [
-        _ok(f"min-closed-equals-k ({checked} graph/k pairs, h={h})"),
-        _ok(f"min-closed-gap (bound k+{h + 1})"),
+        f"min-closed-equals-k ({checked} graph/k pairs, h={h})",
+        f"min-closed-gap (bound k+{h + 1})",
     ]
 
 
 def suite_unanimity_min_open(
     *, trials: int = 500, max_n: int = 10, seed: int = 0
-) -> list[CheckOutcome]:
+) -> list[str]:
     """Polynomial minimum open influence under unanimity against the naive
     exhaustive optimum, for every k."""
     rng = random.Random(seed)
@@ -624,33 +597,29 @@ def suite_unanimity_min_open(
             res = min_open_influence_unanimity(inst, k)
             best_val, _ = brute_force_best_influence(inst, k, "open", "min")
             if res.value != best_val:
-                return [
-                    _fail(
-                        "unanimity-min-open-value",
-                        f"k={k}: algorithm {res.value} vs exhaustive {best_val}\n"
-                        + write_instance(inst),
-                    )
-                ]
+                raise Counterexample(
+                    "unanimity-min-open-value",
+                    f"k={k}: algorithm {res.value} vs exhaustive {best_val}\n"
+                    + write_instance(inst),
+                )
             assert res.seed is not None
             witness = naive_closure(inst, res.seed)
             if len(res.seed) != k or len(witness) - k != res.value:
-                return [
-                    _fail(
-                        "unanimity-min-open-witness",
-                        f"k={k}: witness {sorted(res.seed)} achieves "
-                        f"{len(witness) - k}\n" + write_instance(inst),
-                    )
-                ]
+                raise Counterexample(
+                    "unanimity-min-open-witness",
+                    f"k={k}: witness {sorted(res.seed)} achieves "
+                    f"{len(witness) - k}\n" + write_instance(inst),
+                )
             checked += 1
     return [
-        _ok(f"unanimity-min-open-value ({checked} instance/k pairs)"),
-        _ok("unanimity-min-open-witness"),
+        f"unanimity-min-open-value ({checked} instance/k pairs)",
+        "unanimity-min-open-witness",
     ]
 
 
 def suite_unanimity_cover(
     *, trials: int = 300, max_n: int = 12, seed: int = 0
-) -> list[CheckOutcome]:
+) -> list[str]:
     """Unanimity optimum == minimum vertex cover (plus the vertices without
     edges, which only seeding can ever activate); matching bound <= 2x."""
     rng = random.Random(seed)
@@ -661,34 +630,30 @@ def suite_unanimity_cover(
         isolated = sum(1 for v in range(1, g.n + 1) if g.degree(v) == 0)
         opt = optimal_target_set(inst)
         if opt.value != len(cover) + isolated:
-            return [
-                _fail(
-                    "unanimity-cover-equality",
-                    f"optimum {opt.value} vs cover {len(cover)} + {isolated} isolated\n"
-                    + write_instance(inst),
-                )
-            ]
+            raise Counterexample(
+                "unanimity-cover-equality",
+                f"optimum {opt.value} vs cover {len(cover)} + {isolated} isolated\n"
+                + write_instance(inst),
+            )
         approx = unanimity_target_set_2approx(inst)
         assert approx.value is not None and opt.value is not None
         if approx.value > 2 * opt.value:
-            return [
-                _fail(
-                    "unanimity-2approx-bound",
-                    f"approximation {approx.value} vs optimum {opt.value}\n"
-                    + write_instance(inst),
-                )
-            ]
+            raise Counterexample(
+                "unanimity-2approx-bound",
+                f"approximation {approx.value} vs optimum {opt.value}\n"
+                + write_instance(inst),
+            )
         assert approx.seed is not None
         if len(naive_closure(inst, approx.seed)) != inst.n:
-            return [_fail("unanimity-2approx-feasible", write_instance(inst))]
+            raise Counterexample("unanimity-2approx-feasible", write_instance(inst))
     return [
-        _ok(f"unanimity-cover-equality ({trials} graphs)"),
-        _ok("unanimity-2approx-bound"),
-        _ok("unanimity-2approx-feasible"),
+        f"unanimity-cover-equality ({trials} graphs)",
+        "unanimity-2approx-bound",
+        "unanimity-2approx-feasible",
     ]
 
 
-def suite_gadget_direction(*, max_chain: int = 5) -> list[CheckOutcome]:
+def suite_gadget_direction(*, max_chain: int = 5) -> list[str]:
     """One-way relays: head-side seeds reach nothing, tail-side seeds walk
     the whole chain at four rounds per gadget."""
     for length in range(1, max_chain + 1):
@@ -702,34 +667,34 @@ def suite_gadget_direction(*, max_chain: int = 5) -> list[CheckOutcome]:
         back = activate(inst, [head])
         a_vertices = {gd.a for gd in gadgets}
         if back.final_active & a_vertices:
-            return [_fail("gadget-no-backflow", f"chain {length}: head reached an a-vertex")]
+            raise Counterexample(
+                "gadget-no-backflow", f"chain {length}: head reached an a-vertex"
+            )
         if back.final_active != {head}:
-            return [
-                _fail(
-                    "gadget-no-backflow",
-                    f"chain {length}: head seed activated {sorted(back.final_active)}",
-                )
-            ]
+            raise Counterexample(
+                "gadget-no-backflow",
+                f"chain {length}: head seed activated {sorted(back.final_active)}",
+            )
         forward = activate(inst, [stops[0]])
         if head not in forward.final_active:
-            return [_fail("gadget-forward-relay", f"chain {length}: head unreached")]
+            raise Counterexample("gadget-forward-relay", f"chain {length}: head unreached")
         if forward.round_count != 4 * length:
-            return [
-                _fail(
-                    "gadget-forward-relay",
-                    f"chain {length}: fixpoint after {forward.round_count} rounds, "
-                    f"expected {4 * length}",
-                )
-            ]
+            raise Counterexample(
+                "gadget-forward-relay",
+                f"chain {length}: fixpoint after {forward.round_count} rounds, "
+                f"expected {4 * length}",
+            )
         if len(forward.final_active) != inst.n:
-            return [_fail("gadget-forward-relay", f"chain {length}: incomplete cascade")]
+            raise Counterexample(
+                "gadget-forward-relay", f"chain {length}: incomplete cascade"
+            )
     return [
-        _ok(f"gadget-no-backflow (chains up to {max_chain})"),
-        _ok("gadget-forward-relay (4 rounds per gadget)"),
+        f"gadget-no-backflow (chains up to {max_chain})",
+        "gadget-forward-relay (4 rounds per gadget)",
     ]
 
 
-def suite_padding(*, k_lo: int = 4, k_hi: int = 10) -> list[CheckOutcome]:
+def suite_padding(*, k_lo: int = 4, k_hi: int = 10) -> list[str]:
     """Padding arithmetic: defining inequalities hold and are tight."""
     for k in range(k_lo, k_hi + 1):
         for label in ("const:1", "const:2"):
@@ -738,36 +703,37 @@ def suite_padding(*, k_lo: int = 4, k_hi: int = 10) -> list[CheckOutcome]:
             rho = rho_preset(label)
             assert p.x is not None
             if not (p.x / rho(p.x) >= p.g and (p.x == p.g or (p.x - 1) / rho(p.x - 1) < p.g)):
-                return [_fail("padding-x-minimal", f"k={k} {label}: x={p.x}")]
+                raise Counterexample("padding-x-minimal", f"k={k} {label}: x={p.x}")
             def yield_at(h: int) -> int:
                 return k + (h + 1) * c2 + 4 * h * c2 * c2
             if not (yield_at(p.h) >= p.x and (p.h == 1 or yield_at(p.h - 1) < p.x)):
-                return [_fail("padding-h-minimal", f"k={k} {label}: h={p.h}")]
+                raise Counterexample("padding-h-minimal", f"k={k} {label}: h={p.h}")
         label = "linear:1"
         p = choose_gap_padding(k, rho_preset(label), "min-closed", rho_label=label)
         rho = rho_preset(label)
         if not (k + p.h + 1 >= k * rho(k) and k + (p.h - 1) + 1 < k * rho(k)):
-            return [_fail("padding-min-closed-h", f"k={k} {label}: h={p.h}")]
+            raise Counterexample("padding-min-closed-h", f"k={k} {label}: h={p.h}")
         try:
             choose_gap_padding(k, rho_preset(label), "clique", search_limit=10_000)
-            return [_fail("padding-growth-guard", f"k={k}: linear rho accepted")]
         except ValueError:
             pass
+        else:
+            raise Counterexample("padding-growth-guard", f"k={k}: linear rho accepted")
     spot = choose_gap_padding(4, rho_preset("const:1"), "clique")
     if (spot.g, spot.x, spot.h) != (154, 154, 1):
-        return [_fail("padding-spot-values", f"got {(spot.g, spot.x, spot.h)}")]
+        raise Counterexample("padding-spot-values", f"got {(spot.g, spot.x, spot.h)}")
     spot2 = choose_gap_padding(4, rho_preset("const:2"), "clique")
     if (spot2.x, spot2.h) != (308, 2):
-        return [_fail("padding-spot-values", f"got {(spot2.x, spot2.h)}")]
+        raise Counterexample("padding-spot-values", f"got {(spot2.x, spot2.h)}")
     spot3 = choose_gap_padding(3, rho_preset("const:2"), "min-closed")
     if (spot3.h, spot3.g) != (2, 6):
-        return [_fail("padding-spot-values", f"got {(spot3.h, spot3.g)}")]
+        raise Counterexample("padding-spot-values", f"got {(spot3.h, spot3.g)}")
     return [
-        _ok(f"padding-x-minimal (k={k_lo}..{k_hi})"),
-        _ok("padding-h-minimal"),
-        _ok("padding-min-closed-h"),
-        _ok("padding-growth-guard"),
-        _ok("padding-spot-values (154/308/6)"),
+        f"padding-x-minimal (k={k_lo}..{k_hi})",
+        "padding-h-minimal",
+        "padding-min-closed-h",
+        "padding-growth-guard",
+        "padding-spot-values (154/308/6)",
     ]
 
 

@@ -1,6 +1,7 @@
 """Acceptance suite: every headline property at its full stated scale.
 
-Each test prints one PASS/FAIL line.  All randomness is seeded, so the
+Each passing test prints one PASS line; a failing suite raises its
+`Counterexample`, which fails the test.  All randomness is seeded, so the
 suite is reproducible.  Criterion 5 checks the influence-decision
 biconditional over all seed sets of the compiled instance and prints the
 first counterexample if there is one; criterion 5a checks its forward
@@ -31,17 +32,9 @@ from tsslab.verify import (
 )
 
 
-def _report(criterion: str, outcomes, started) -> None:
+def _report(criterion: str, passed: list[str], started) -> None:
     elapsed = time.perf_counter() - started
-    failures = [oc for oc in outcomes if not oc.passed]
-    if failures:
-        print(f"FAIL {criterion} [{elapsed:.1f}s]")
-        for oc in failures:
-            print(f"  {oc.name}: {oc.detail}")
-        detail = "; ".join(f"{oc.name}: {oc.detail}" for oc in failures)
-        pytest.fail(f"{criterion}: {detail}", pytrace=False)
-    names = ", ".join(oc.name for oc in outcomes)
-    print(f"PASS {criterion} [{elapsed:.1f}s] ({names})")
+    print(f"PASS {criterion} [{elapsed:.1f}s] ({', '.join(passed)})")
 
 
 def test_criterion_01_propagation_soundness():
@@ -53,9 +46,7 @@ def test_criterion_01_propagation_soundness():
 
 def test_criterion_02_circuit_oracle_equivalence():
     t0 = time.perf_counter()
-    out = suite_circuit_equivalence(
-        max_inputs=3, max_gates=3, trials=50, seed=102, exhaustive=True
-    )
+    out = suite_circuit_equivalence(max_inputs=3, max_gates=3, trials=50, seed=102)
     _report(
         "criterion 2: circuit optimum equals minimum satisfying weight", out, t0
     )

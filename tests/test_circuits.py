@@ -74,6 +74,11 @@ def test_cycle_detected():
     assert "cycle" in str(err.value)
 
 
+def test_empty_circuit_rejected():
+    with pytest.raises(ParseError, match="expected exactly one output candidate, found 0"):
+        build_circuit([], [])
+
+
 def test_evaluate_two_level():
     c = parse_circuit(TWO_LEVEL_CIRCUIT)
     assert evaluate(c, {1, 3})

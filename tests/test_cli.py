@@ -1,5 +1,6 @@
 import pytest
 
+from tsslab import verify
 from tsslab.cli import main
 
 TWO_PATH = "tss 2 1\nt 1 1\nt 2 1\ne 1 2\n"
@@ -151,6 +152,108 @@ def test_verify_small_propagation(capsys):
     assert main(["verify", "propagation", "--trials", "20", "--n", "10", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 3
+
+
+# Exact `tsslab verify` stdout of every suite at a small scale.  The counts
+# pin each suite's RNG stream: reordering a draw changes them.
+VERIFY_GOLDEN = [
+    (
+        "propagation --trials 40",
+        [
+            "trace-oracle-agreement (40 instances)",
+            "single-step-recount (40 sets)",
+            "seed-monotonicity (40 pairs)",
+        ],
+    ),
+    (
+        "circuit-equivalence --max-inputs 2 --max-gates 2 --trials 10",
+        [
+            "circuit-optimum-equality (11 enumerated + 10 random circuits)",
+            "circuit-assignment-backmap",
+        ],
+    ),
+    (
+        "threshold-reduction --trials 40",
+        [
+            "reduction-thresholds (40 instances)",
+            "reduction-bipartite",
+            "reduction-forward-transfer",
+            "reduction-optimum-preserved",
+            "reduction-backward-transfer (100 peels per instance)",
+        ],
+    ),
+    (
+        "clique-gap --graphs 20 --random-seeds 200",
+        [
+            "clique-side-yield (6 graphs, exact 160)",
+            "cliquefree-side-bound (14 graphs, bound 154)",
+            "cliquefree-random-seeds (200 per graph)",
+        ],
+    ),
+    (
+        "independence-decision --graphs 40",
+        [
+            "independence-decision-vertex-side (186 graph/k pairs)",
+            "independence-decision-open",
+        ],
+    ),
+    (
+        "min-closed-gap --graphs 40",
+        [
+            "min-closed-equals-k (146 graph/k pairs, h=3)",
+            "min-closed-gap (bound k+4)",
+        ],
+    ),
+    (
+        "unanimity-min-open --trials 40",
+        [
+            "unanimity-min-open-value (245 instance/k pairs)",
+            "unanimity-min-open-witness",
+        ],
+    ),
+    (
+        "unanimity-cover --trials 40",
+        [
+            "unanimity-cover-equality (40 graphs)",
+            "unanimity-2approx-bound",
+            "unanimity-2approx-feasible",
+        ],
+    ),
+    (
+        "gadget-direction",
+        [
+            "gadget-no-backflow (chains up to 5)",
+            "gadget-forward-relay (4 rounds per gadget)",
+        ],
+    ),
+    (
+        "padding",
+        [
+            "padding-x-minimal (k=4..10)",
+            "padding-h-minimal",
+            "padding-min-closed-h",
+            "padding-growth-guard",
+            "padding-spot-values (154/308/6)",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("command, passed", VERIFY_GOLDEN)
+def test_verify_golden_stdout(command, passed, capsys):
+    assert main(["verify", *command.split()]) == 0
+    assert capsys.readouterr().out == "".join(f"PASS {line}\n" for line in passed)
+
+
+def test_verify_counterexample_exits_1(monkeypatch, capsys):
+    def failing():
+        raise verify.Counterexample("x", "a\nb")
+
+    monkeypatch.setitem(verify.SUITES, "padding", failing)
+    assert main(["verify", "padding"]) == 1
+    out = capsys.readouterr().out
+    assert out == "FAIL x\n  a\n  b\n"
+    assert "PASS" not in out
 
 
 def test_verify_unknown_flag_exits_2(capsys):

@@ -210,34 +210,10 @@ def test_one_shot_paths_match_naive_oracles():
         inst, seed = _kernel_case(rng)
         closure = naive_closure(inst, seed)
         assert list(activate(inst, seed).rounds) == naive_rounds(inst, seed)
-        assert Propagator(inst).run(seed) == closure
         assert is_target_set(inst, seed) == naive_is_target_set(inst, seed)
         assert influence(inst, seed, "closed") == len(closure)
         assert influence(inst, seed, "open") == len(closure - set(seed))
         assert activate_round(inst, seed) == naive_round(inst, seed)
-
-
-def test_run_leaves_pushed_state_untouched():
-    rng = random.Random(3)
-    for _ in range(50):
-        inst, seed = _kernel_case(rng)
-        prop = Propagator(inst)
-        token = prop.push(seed)
-        pushed = prop.active_set()
-        other = random_seed_set(rng, inst.n)
-        assert prop.run(other) == naive_closure(inst, other)
-        assert prop.active_set() == pushed == naive_closure(inst, seed)
-        prop.pop_to(token)
-        assert prop.mark() == (0, 0)
-        prop.push(seed)
-        assert prop.active_set() == pushed
-
-
-def test_run_rejects_out_of_range_seed():
-    prop = Propagator(triangle())
-    for bad in ([0], [4], [1, 5]):
-        with pytest.raises(ValueError):
-            prop.run(bad)
 
 
 def test_push_rejects_out_of_range_vertex():

@@ -6,7 +6,7 @@ import pytest
 
 from tsslab.circuits import build_circuit, evaluate, min_weight_satisfying
 from tsslab.instance import Graph
-from tsslab.propagation import Propagator, activate, is_target_set
+from tsslab.propagation import activate, influence, is_target_set
 from tsslab.reductions import (
     GapParameters,
     choose_gap_padding,
@@ -185,8 +185,7 @@ def test_clique_construction_counts():
 
 def test_clique_seed_exact_yield():
     r = clique_to_max_influence(k_complete(8), 4, h=1)
-    prop = Propagator(r.instance)
-    assert len(prop.run([1, 2, 3, 4])) == 160
+    assert influence(r.instance, [1, 2, 3, 4]) == 160
 
 
 def test_clique_rejects_small_k():
@@ -213,8 +212,7 @@ def test_gap_builders_check_params(build, variant, other):
 
 def test_clique_layered_construction():
     r = clique_to_max_influence(k_complete(5), 4, h=2)
-    prop = Propagator(r.instance)
-    got = len(prop.run([1, 2, 3, 4]))
+    got = influence(r.instance, [1, 2, 3, 4])
     assert got == r.params.clique_yield == 4 + 3 * 6 + 8 * 36
 
 
