@@ -8,6 +8,13 @@ The activation gadget for a vertex v with neighbors u_1..u_d and threshold
 t builds a triangular grid of counter cells: w^i_j activates exactly when
 at least j of u_1..u_i are active, and a final directed edge gadget from
 w^d_t releases v.  This simulates any threshold with thresholds <= 2.
+
+Builds are bulk appends.  A relay checks its two endpoints, then appends
+its four vertices and six edges unchecked: every edge touches a fresh
+vertex, so none can be out of range, a self-loop or a duplicate.  `build()`
+assembles its Graph from the builder's edge set without re-validating it.
+The public `InstanceBuilder.add_edge` and `Graph(...)` keep every check,
+and a rejected gadget call leaves the builder unchanged.
 """
 
 from __future__ import annotations
@@ -115,27 +122,44 @@ class InstanceBuilder:
         self._edges.add(e)
 
     def set_threshold(self, v: int, threshold: int) -> None:
+        self._check_vertex(v, "vertex")
         if threshold < 1:
             raise ValueError("threshold below 1")
         self._thr[v] = threshold
 
-    def add_directed_edge_gadget(self, u: int, v: int) -> DirectedEdgeGadget:
-        """One-way relay from u to v: 4 fresh vertices, 6 fresh edges."""
+    def _check_vertex(self, v: int, role: str) -> None:
+        n = self.vertex_count
+        if not 1 <= v <= n:
+            raise ValueError(f"{role} {v} out of range 1..{n}")
+
+    def _relay(self, u: int, v: int) -> int:
+        """Directed edge gadget from u to v without its record; returns a
+        (b, c, d follow it).
+
+        Both endpoints are checked before anything changes.  The six edges
+        then go in unchecked, each as (smaller, larger): each touches one of
+        the four fresh vertices, so none can be out of range, a self-loop or
+        a duplicate.
+        """
+        n = len(self._thr) - 1
         if u == v:
             raise ValueError("directed edge gadget endpoints must differ")
+        if not (0 < u <= n and 0 < v <= n):
+            self._check_vertex(u, "directed edge gadget endpoint")
+            self._check_vertex(v, "directed edge gadget endpoint")
         gid = self._next_gadget
-        self._next_gadget += 1
-        a = self.add_vertex(1, f"d{gid}a", origin=u)
-        b = self.add_vertex(1, f"d{gid}b", origin=u)
-        c = self.add_vertex(2, f"d{gid}c", origin=u)
-        d = self.add_vertex(1, f"d{gid}d", origin=u)
-        self.add_edge(a, b)
-        self.add_edge(b, c)
-        self.add_edge(c, d)
-        self.add_edge(d, a)
-        self.add_edge(u, a)
-        self.add_edge(c, v)
-        return DirectedEdgeGadget(gid, u, v, a, b, c, d)
+        self._next_gadget = gid + 1
+        a, b, c, d = n + 1, n + 2, n + 3, n + 4
+        self._thr += (1, 1, 2, 1)
+        self._tags += (f"d{gid}a", f"d{gid}b", f"d{gid}c", f"d{gid}d")
+        self._origin += (u, u, u, u)
+        self._edges.update(((a, b), (b, c), (c, d), (a, d), (u, a), (v, c)))
+        return a
+
+    def add_directed_edge_gadget(self, u: int, v: int) -> DirectedEdgeGadget:
+        """One-way relay from u to v: 4 fresh vertices, 6 fresh edges."""
+        a = self._relay(u, v)
+        return DirectedEdgeGadget(self._next_gadget - 1, u, v, a, a + 1, a + 2, a + 3)
 
     def add_activation_gadget(
         self, v: int, inputs: Sequence[int], t: int
@@ -144,11 +168,15 @@ class InstanceBuilder:
 
         Only used for thresholds above 2: requires 3 <= t <= len(inputs).
         Sets thr(v) = 1; the final directed edge gadget from the (d, t)
-        cell is the only thing that can reach it.
+        cell is the only thing that can reach it.  v and every input are
+        checked before the first cell is added.
         """
         d = len(inputs)
         if not 3 <= t <= d:
             raise ValueError(f"activation gadget needs 3 <= t <= {d}, got {t}")
+        self._check_vertex(v, "activation gadget owner")
+        for u in inputs:
+            self._check_vertex(u, "activation gadget input")
         w: dict[tuple[int, int], int] = {}
         wt: dict[tuple[int, int], int] = {}
         parts: list[DirectedEdgeGadget] = []
@@ -185,7 +213,7 @@ class InstanceBuilder:
         ell: int | None = None,
         params: object | None = None,
     ) -> ReducedInstance:
-        inst = Instance(Graph(self.vertex_count, self._edges), self._thr[1:])
+        inst = Instance(Graph._trusted(self.vertex_count, self._edges), self._thr[1:])
         return ReducedInstance(
             instance=inst,
             kind=kind,
@@ -222,7 +250,7 @@ def reduce_thresholds_to_two(inst: Instance) -> ReducedInstance:
         deg = inst.graph.degree(v)
         if t <= 2:
             for u in inst.graph.neighbors(v):
-                b.add_directed_edge_gadget(u, v)
+                b._relay(u, v)
         elif t <= deg:
             b.add_activation_gadget(v, inst.graph.neighbors(v), t)
         else:

@@ -40,6 +40,17 @@ class Graph:
             if e in canon:
                 raise ValueError(f"duplicate edge ({e[0]}, {e[1]})")
             canon.add(e)
+        self._assemble(n, canon)
+
+    @classmethod
+    def _trusted(cls, n: int, canon: Iterable[tuple[int, int]]) -> "Graph":
+        """Graph from edges already known to be distinct (u, v) pairs with
+        1 <= u < v <= n, skipping the checks `Graph(...)` makes."""
+        g = cls.__new__(cls)
+        g._assemble(n, canon)
+        return g
+
+    def _assemble(self, n: int, canon: Iterable[tuple[int, int]]) -> None:
         ordered = tuple(sorted(canon))
         nbrs: list[list[int]] = [[] for _ in range(n + 1)]
         for u, v in ordered:

@@ -77,9 +77,6 @@ class Propagator:
         self._active: list[int] = []
         self._trail: list[int] = []
 
-    def mark(self) -> tuple[int, int]:
-        return (len(self._active), len(self._trail))
-
     def push_one(self, v: int) -> tuple[int, int]:
         """Activate v (if inactive) and cascade to the fixpoint."""
         if not 0 < v <= self.n:
@@ -142,12 +139,6 @@ class Propagator:
                     active.append(w)
                     stack.append(w)
 
-    def push(self, vertices: Iterable[int]) -> tuple[int, int]:
-        token = self.mark()
-        for v in _check_seed(self.inst, vertices):
-            self.push_one(v)
-        return token
-
     def pop_to(self, token: tuple[int, int]) -> None:
         """Undo every activation and counter bump made since `token`."""
         la, lt = token
@@ -162,9 +153,6 @@ class Propagator:
             status[w] = 0
         del active[la:]
 
-    def reset(self) -> None:
-        self.pop_to((0, 0))
-
     def active_count(self) -> int:
         return len(self._active)
 
@@ -174,9 +162,6 @@ class Propagator:
     def activated_since(self, token: tuple[int, int]) -> list[int]:
         """Vertices activated since `token`, in activation order."""
         return self._active[token[0] :]
-
-    def active_set(self) -> frozenset[int]:
-        return frozenset(self._active)
 
 
 def _rounds(inst: Instance, seed_list: list[int]) -> list[list[int]]:

@@ -1,17 +1,21 @@
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 
 from tsslab.gadgets import InstanceBuilder, reduce_thresholds_to_two
-from tsslab.instance import GeneratorConfig, Graph, Instance, generate_random
+from tsslab.instance import GeneratorConfig, Graph, Instance, generate_random, write_instance
 from tsslab.propagation import activate, is_target_set
+from tsslab.reductions import clique_to_max_influence, mcs_to_tss
 from tsslab.solvers import optimal_target_set
 from tsslab.verify import (
     brute_force_min_target_set,
+    enumerate_small_circuits,
     is_bipartite,
     naive_closure,
     naive_is_target_set,
+    random_graph,
 )
 
 
@@ -182,3 +186,110 @@ def test_reduction_forward_direction_random():
             break_early = size >= 2  # the small sizes are the interesting ones
             if break_early:
                 break
+
+
+def _layout(r):
+    return write_instance(r.instance) + r.provenance_text() + repr(r.origin)
+
+
+def test_gadget_calls_are_all_or_nothing():
+    b = InstanceBuilder()
+    u = b.add_vertex(1, "v1")
+    before = _layout(b.build("one"))
+    for src, dst in ((u, 7), (7, u), (0, u), (u, -1)):
+        bad = dst if src == u else src
+        with pytest.raises(ValueError, match=f"endpoint {bad} out of range"):
+            b.add_directed_edge_gadget(src, dst)
+        assert b.vertex_count == 1 and _layout(b.build("one")) == before
+
+    inputs = [b.add_vertex(1, f"v{i}") for i in range(2, 6)]
+    v = b.add_vertex(5, "v6")
+    before = _layout(b.build("six"))
+    for owner, ins, bad in (
+        (v, inputs[:3] + [99], 99),
+        (v, [0] + inputs, 0),
+        (99, inputs, 99),
+        (-1, inputs, -1),
+    ):
+        with pytest.raises(ValueError, match=f" {bad} out of range"):
+            b.add_activation_gadget(owner, ins, 3)
+        assert b.vertex_count == 6 and _layout(b.build("six")) == before
+    for bad in (0, -1, 7):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+            b.set_threshold(bad, 1)
+        assert _layout(b.build("six")) == before
+
+
+def _gadget_edges(gd):
+    a, b, c, d = gd.a, gd.b, gd.c, gd.d
+    return [(a, b), (b, c), (c, d), (d, a), (gd.source, a), (c, gd.target)]
+
+
+def test_bulk_build_matches_validating_graph():
+    """build()'s unchecked Graph equals Graph(n, edges) on the edges each
+    builder call reports, across mixed builds using every builder method."""
+    rng = random.Random(31)
+    for _ in range(120):
+        b = InstanceBuilder()
+        edges: list[tuple[int, int]] = []
+        for i in range(rng.randint(2, 6)):
+            b.add_vertex(rng.randint(1, 3), f"v{i}")
+        for _ in range(rng.randint(0, 12)):
+            n = b.vertex_count
+            op = rng.random()
+            if op < 0.2:
+                b.add_vertex(rng.randint(1, 4), "x")
+            elif op < 0.5:
+                u, v = rng.randint(1, n), rng.randint(1, n)
+                if u == v or sorted((u, v)) in map(sorted, edges):
+                    with pytest.raises(ValueError):
+                        b.add_edge(u, v)
+                else:
+                    b.add_edge(u, v)
+                    edges.append((u, v))
+            elif op < 0.6:
+                b.set_threshold(rng.randint(1, n), rng.randint(1, 4))
+            elif op < 0.85:
+                u, v = rng.sample(range(1, n + 1), 2)
+                edges += _gadget_edges(b.add_directed_edge_gadget(u, v))
+            elif n >= 4:
+                v, *inputs = rng.sample(range(1, n + 1), rng.randint(4, min(n, 6)))
+                gadget = b.add_activation_gadget(v, inputs, rng.randint(3, len(inputs)))
+                for gd in gadget.gadgets:
+                    edges += _gadget_edges(gd)
+        got = b.build("mixed").instance.graph
+        ref = Graph(b.vertex_count, edges)
+        assert got == ref and got.m == ref.m and got.adj == ref.adj
+
+
+def test_add_edge_keeps_every_check():
+    b, u, v = two_vertices()
+    gd = b.add_directed_edge_gadget(u, v)
+    n = b.vertex_count
+    for bad in ((u, u), (0, u), (u, n + 1), (u, gd.a), (gd.a, u), (v, gd.c), (gd.b, gd.a)):
+        with pytest.raises(ValueError):
+            b.add_edge(*bad)
+    assert b.build("chain").instance.m == 6
+
+
+# sha256 of write_instance + provenance_text + origin per reduction: pins
+# gadget ids, vertex numbering, edges, thresholds, tags and origins, which
+# solver witnesses and `tsslab reduce` files depend on.
+LAYOUT_DIGESTS = {
+    "mcs_to_tss (3,3)[::7]": "1bdbbdaf5ee3ad280bdcf5d019cc8c0461fae7a5555fd3057006c0f7a700a332",
+    "thresholds-to-two": "ecbbf16b8a1f798b3d3a75040292b7a2addb1e34e9297b1988882064e855c57c",
+    "clique": "1cc50fe39c99fe8e31a3fbe1bd5ef5375f034089293646d8f8b28ebd61ace6a7",
+}
+
+
+def test_reduction_layouts_pinned():
+    builds = {
+        "mcs_to_tss (3,3)[::7]": [mcs_to_tss(c) for c in enumerate_small_circuits(3, 3)[::7]],
+        "thresholds-to-two": [
+            reduce_thresholds_to_two(generate_random(GeneratorConfig(30, 0.3, "uniform", 11)))
+        ],
+        "clique": [clique_to_max_influence(random_graph(random.Random(12), 9, 0.6), 4, h=2)],
+    }
+    for name, reduced in builds.items():
+        text = "".join(map(_layout, reduced))
+        assert hashlib.sha256(text.encode()).hexdigest() == LAYOUT_DIGESTS[name], name

@@ -179,8 +179,8 @@ def test_propagator_push_pop_consistency():
                 v = rng.randint(1, inst.n)
                 stack.append((prop.push_one(v), set(current)))
                 current = current | {v}
-            assert prop.active_set() == naive_closure(inst, current)
-        prop.reset()
+            assert set(prop.activated_since((0, 0))) == naive_closure(inst, current)
+        prop.pop_to((0, 0))
         assert prop.active_count() == 0
 
 
@@ -218,15 +218,12 @@ def test_one_shot_paths_match_naive_oracles():
 
 def test_push_rejects_out_of_range_vertex():
     prop = Propagator(path(3))
-    for bad in ([0, 1], [1, 4], [5]):
-        with pytest.raises(ValueError):
-            prop.push(bad)
-        assert prop.mark() == (0, 0)
     for v in (0, 4, -1):
         with pytest.raises(ValueError):
             prop.push_one(v)
-        assert prop.mark() == (0, 0)
-    prop.push([3])
+        assert prop.active_count() == 0
+    # a push's token is the journal length it found: still empty
+    assert prop.push_one(3) == (0, 0)
     assert prop.is_full() and prop.active_count() == 3
 
 
@@ -250,6 +247,12 @@ def _count_writes(prop):
     return writes
 
 
+def _snapshot(prop):
+    """What gain and pop_to must leave or restore: the bump trail's length,
+    the activation order, the counters and the status bytes."""
+    return len(prop._trail), prop.activated_since((0, 0)), list(prop._count), bytes(prop._status)
+
+
 def test_gain_matches_push():
     rng = random.Random(29)
     for _ in range(150):
@@ -257,22 +260,23 @@ def test_gain_matches_push():
         n = inst.n
         prop = Propagator(inst)
         prefix = [] if rng.random() < 0.3 else list(random_seed_set(rng, n, rng.random() * 0.5))
-        prop.push(prefix)
+        for v in prefix:
+            prop.push_one(v)
         writes = _count_writes(prop)
         before = naive_closure(inst, prefix)
-        mark, active = prop.mark(), prop.active_set()
+        state = _snapshot(prop)
         for v in range(1, n + 1):
             tally = writes[0]
             got = prop.gain(v)
             if len(got) <= 1:  # nothing cascades: answered without a write
                 assert writes[0] == tally
-            assert (prop.mark(), prop.active_set()) == (mark, active)
+            assert _snapshot(prop) == state
             token = prop.push_one(v)
             assert list(got) == prop.activated_since(token)
             assert set(got) == naive_closure(inst, prefix + [v]) - before
             prop.pop_to(token)
-            assert (prop.mark(), prop.active_set()) == (mark, active)
+            assert _snapshot(prop) == state
         for bad in (0, n + 1):
             with pytest.raises(ValueError):
                 prop.gain(bad)
-        assert (prop.mark(), prop.active_set()) == (mark, active)
+        assert _snapshot(prop) == state
