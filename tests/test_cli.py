@@ -35,8 +35,16 @@ def test_gen_writes_instance(tmp_path, capsys):
 def test_gen_reproducible(capsys):
     assert main(["gen", "-n", "10", "-p", "0.5", "--seed", "3"]) == 0
     first = capsys.readouterr().out
-    assert main(["gen", "-n", "10", "-p", "0.5", "--seed", "3"]) == 0
-    assert capsys.readouterr().out == first
+    for thresholds in ("constant:1", "constant"):
+        assert main(["gen", "-n", "10", "-p", "0.5", "--seed", "3", "--thresholds", thresholds]) == 0
+        assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("thresholds", ["majority:3", "unanimity:2", "uniform:1", "constant:x"])
+def test_gen_bad_thresholds_exits_2(thresholds, capsys):
+    assert main(["gen", "-n", "3", "-p", "0.5", "--thresholds", thresholds]) == 2
+    captured = capsys.readouterr()
+    assert "--thresholds" in captured.err and captured.out == ""
 
 
 def test_propagate_trace_record(inst_file, capsys):
@@ -130,6 +138,15 @@ def test_reduce_error_leaves_no_output_dir(tmp_path, source, k):
     assert not (tmp_path / "out").exists()
 
 
+def test_reduce_min_closed_rho_below_one_exits_2(tmp_path, capsys):
+    (tmp_path / "g.tss").write_text(TWO_PATH)
+    out = tmp_path / "out"
+    args = ["-i", str(tmp_path / "g.tss"), "-k", "2", "--rho", "const:-5", "-o", str(out)]
+    assert main(["reduce", "is-min-closed", *args]) == 2
+    assert "rho(2) = -5 is below 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reduce_thresholds_to_two(tmp_path):
     g = tmp_path / "g.tss"
     g.write_text(TWO_PATH)
@@ -195,6 +212,7 @@ VERIFY_GOLDEN = [
         [
             "independence-decision-vertex-side (186 graph/k pairs)",
             "independence-decision-open",
+            "independence-decision-all-seeds",
         ],
     ),
     (
@@ -243,6 +261,10 @@ VERIFY_GOLDEN = [
 def test_verify_golden_stdout(command, passed, capsys):
     assert main(["verify", *command.split()]) == 0
     assert capsys.readouterr().out == "".join(f"PASS {line}\n" for line in passed)
+
+
+def test_verify_golden_covers_every_suite():
+    assert {command.split()[0] for command, _ in VERIFY_GOLDEN} == set(verify.SUITES)
 
 
 def test_verify_counterexample_exits_1(monkeypatch, capsys):

@@ -163,6 +163,13 @@ def test_padding_rejects_bounded_growth():
         choose_gap_padding(4, rho_preset("linear:1"), "clique", search_limit=5000)
 
 
+@pytest.mark.parametrize("variant", ["clique", "min-closed"])
+@pytest.mark.parametrize("label", ["const:1/2", "const:0", "const:-5"])
+def test_padding_rejects_rho_below_one(label, variant):
+    with pytest.raises(ValueError, match="is below 1"):
+        choose_gap_padding(4, rho_preset(label), variant)
+
+
 def test_rho_presets():
     assert rho_preset("const:3")(10) == 3
     assert rho_preset("linear:2")(5) == 10

@@ -10,10 +10,10 @@ from tsslab.instance import parse_instance
 
 
 def _solver(value):
-    """Stand-in for `k_influence` that answers value(k, mode)."""
+    """Stand-in for `k_influence` that answers value(k, mode, universe)."""
 
     def solve(inst, k, mode, goal, universe=None):
-        return SimpleNamespace(value=value(k, mode), seed=None)
+        return SimpleNamespace(value=value(k, mode, universe), seed=None)
 
     return solve
 
@@ -24,7 +24,7 @@ def _solver(value):
         (
             verify.suite_clique_gap,
             {"graphs": 20, "random_seeds": 0},
-            {"k_influence": _solver(lambda k, mode: 10**6)},
+            {"k_influence": _solver(lambda k, mode, universe: 10**6)},
             "cliquefree-side-bound",
         ),
         (
@@ -32,7 +32,7 @@ def _solver(value):
             {"graphs": 1, "random_seeds": 1},
             {
                 "find_clique": lambda g, k: None,
-                "k_influence": _solver(lambda k, mode: 0),
+                "k_influence": _solver(lambda k, mode, universe: 0),
                 "influence": lambda inst, seed: 10**6,
             },
             "cliquefree-random-seeds",
@@ -42,7 +42,7 @@ def _solver(value):
             {"graphs": 1},
             {
                 "has_independent_set": lambda g, k: True,
-                "k_influence": _solver(lambda k, mode: k if mode == "closed" else 1),
+                "k_influence": _solver(lambda k, mode, universe: k if mode == "closed" else 1),
             },
             "independence-decision-open",
         ),
@@ -51,7 +51,7 @@ def _solver(value):
             {"graphs": 1},
             {
                 "has_independent_set": lambda g, k: True,
-                "k_influence": _solver(lambda k, mode: k + 1),
+                "k_influence": _solver(lambda k, mode, universe: k + 1),
             },
             "min-closed-equals-k",
         ),
@@ -60,9 +60,22 @@ def _solver(value):
             {"graphs": 1},
             {
                 "has_independent_set": lambda g, k: False,
-                "k_influence": _solver(lambda k, mode: k),
+                "k_influence": _solver(lambda k, mode, universe: k),
             },
             "min-closed-gap",
+        ),
+        (
+            verify.suite_independence_decision,
+            {"graphs": 1},
+            {
+                "has_independent_set": lambda g, k: False,
+                "k_influence": _solver(
+                    lambda k, mode, universe: k
+                    if universe is None
+                    else (k + 1 if mode == "closed" else 1)
+                ),
+            },
+            "independence-decision-all-seeds",
         ),
     ],
 )
