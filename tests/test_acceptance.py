@@ -5,7 +5,8 @@ Each passing test prints one PASS line; a failing suite raises its
 suite is reproducible.  Every criterion is a `tsslab.verify` suite, so
 each also runs as `tsslab verify <suite>`; criterion 5 is
 `independence-decision`, whose all-seeds check is the influence-decision
-biconditional over every size-k seed of the compiled instance.
+biconditional over every size-k seed of the compiled instance, and
+criterion 5a runs the same suite on a second sample of graphs.
 """
 
 import time
@@ -69,6 +70,20 @@ def test_criterion_05_influence_decision_biconditional():
     t0 = time.perf_counter()
     out = suite_independence_decision(graphs=500, k_max=4, seed=105)
     _report("criterion 5: influence decision iff independent set, k<=4", out, t0)
+
+
+def test_criterion_05a_influence_decision_sound_directions():
+    # A second sample of 500 graphs for the vertex-side checks (closed k,
+    # open 0), the directions that hold for every seed restriction.
+    t0 = time.perf_counter()
+    out = suite_independence_decision(graphs=500, k_max=4, seed=1105)
+    assert out[0].startswith("independence-decision-vertex-side")
+    assert "independence-decision-open" in out
+    _report(
+        "criterion 5a: influence-decision vertex-side equivalence, second sample",
+        out,
+        t0,
+    )
 
 
 def test_criterion_06_min_closed_dichotomy():
