@@ -34,10 +34,6 @@ class MonotoneCircuit:
     def n_inputs(self) -> int:
         return len(self.inputs)
 
-    @property
-    def gates(self) -> tuple[int, ...]:
-        return tuple(v for v in self.topo if self.kinds[v] != "input")
-
 
 def build_circuit(
     kinds: Sequence[str], preds: Sequence[Sequence[int]], output: int | None = None
@@ -202,20 +198,20 @@ def evaluate(c: MonotoneCircuit, assignment: Iterable[int]) -> bool:
     return value[c.output]
 
 
-def min_weight_satisfying(
-    c: MonotoneCircuit, max_inputs: int = BRUTE_FORCE_INPUT_BOUND
-) -> frozenset[int]:
+def min_weight_satisfying(c: MonotoneCircuit) -> frozenset[int]:
     """Exhaustive minimum-weight satisfying assignment.
 
     Subsets are tried by increasing cardinality, lexicographically within a
     cardinality, so the first hit is a minimum-weight assignment with the
     lexicographically smallest true-input set.  One always exists: every
-    monotone circuit is satisfied by the all-true assignment.
+    monotone circuit is satisfied by the all-true assignment.  Refuses
+    circuits with more than BRUTE_FORCE_INPUT_BOUND inputs.
     """
     n = c.n_inputs
-    if n > max_inputs:
+    if n > BRUTE_FORCE_INPUT_BOUND:
         raise ValueError(
-            f"brute-force search limited to {max_inputs} inputs, circuit has {n}"
+            f"brute-force search limited to {BRUTE_FORCE_INPUT_BOUND} inputs, "
+            f"circuit has {n}"
         )
     for weight in range(n + 1):
         for subset in combinations(range(1, n + 1), weight):

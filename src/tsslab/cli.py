@@ -14,6 +14,7 @@ from pathlib import Path
 from . import verify
 from .circuits import parse_circuit
 from .instance import (
+    THRESHOLD_MODES,
     GeneratorConfig,
     ParseError,
     generate_random,
@@ -192,10 +193,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    # GeneratorConfig checks these values too, but without naming the flag.
+    if args.n < 0:
+        raise ParseError(f"-n must be nonnegative, got {args.n}")
+    if not 0 <= args.p <= 1:
+        raise ParseError(f"-p must lie in [0, 1], got {args.p}")
     mode, sep, value = args.thresholds.partition(":")
-    if sep and not (mode == "constant" and value.isdecimal()):
+    good_value = not sep or (mode == "constant" and value.isdecimal() and int(value) >= 1)
+    if mode not in THRESHOLD_MODES or not good_value:
         raise ParseError(
-            f"--thresholds {args.thresholds!r}: expected constant:<integer> or a bare mode"
+            f"--thresholds {args.thresholds!r}: expected constant, constant:<c> with "
+            "c >= 1, majority, unanimity or uniform"
         )
     cfg = GeneratorConfig(
         n=args.n,

@@ -91,14 +91,16 @@ class Instance:
         if isinstance(thresholds, Mapping):
             if set(thresholds) != set(range(1, n + 1)):
                 raise ValueError("threshold mapping must cover exactly vertices 1..n")
-            thr = [0] + [int(thresholds[v]) for v in range(1, n + 1)]
+            thr = [0] + [thresholds[v] for v in range(1, n + 1)]
         else:
             if len(thresholds) != n:
                 raise ValueError(
                     f"expected {n} thresholds, got {len(thresholds)}"
                 )
-            thr = [0] + [int(t) for t in thresholds]
+            thr = [0, *thresholds]
         for v in range(1, n + 1):
+            if not isinstance(thr[v], int):
+                raise ValueError(f"threshold {thr[v]!r} at vertex {v} is not an integer")
             if thr[v] < 1:
                 raise ValueError(f"threshold below 1 at vertex {v}")
         self.graph = graph

@@ -65,10 +65,9 @@ class Propagator:
     Not thread-safe: use one Propagator per thread.
     """
 
-    __slots__ = ("inst", "n", "_adj", "_thr", "_status", "_count", "_active", "_trail")
+    __slots__ = ("n", "_adj", "_thr", "_status", "_count", "_active", "_trail")
 
     def __init__(self, inst: Instance):
-        self.inst = inst
         self.n = inst.n
         self._adj = inst.graph.adj
         self._thr = inst.thr

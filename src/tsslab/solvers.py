@@ -256,17 +256,15 @@ def k_influence(
     k: int,
     mode: str = "closed",
     goal: str = "max",
-    exact_cardinality: bool | None = None,
     *,
     universe: Sequence[int] | None = None,
-    max_evaluations: int = DEFAULT_EVALUATION_LIMIT,
 ) -> SolveResult:
     """Exhaustive best-influence seed of bounded size.
 
-    Maximization searches |S| <= k, minimization |S| = k, unless
-    exact_cardinality overrides the convention.  `universe` restricts the
-    vertices seeds may use.  Refuses enumerations larger than
-    `max_evaluations` seed sets (counted before any pruning).
+    Maximization searches |S| <= k, minimization |S| = k (the empty seed
+    would otherwise always win it).  `universe` restricts the vertices
+    seeds may use.  Refuses enumerations larger than
+    DEFAULT_EVALUATION_LIMIT seed sets (counted before any pruning).
 
     Maximization skips dominated subtrees: a candidate that an earlier
     sibling activates, where that sibling's subtree never reached the stop
@@ -296,8 +294,7 @@ def k_influence(
         for v in uni:
             if not 1 <= v <= n:
                 raise ValueError(f"universe vertex {v} out of range 1..{n}")
-    exact = (goal == "min") if exact_cardinality is None else exact_cardinality
-    if exact:
+    if goal == "min":
         if k > len(uni):
             raise ValueError(
                 f"no seed of size {k} exists in a universe of {len(uni)} vertices"
@@ -307,10 +304,10 @@ def k_influence(
         sizes = list(range(0, min(k, len(uni)) + 1))
 
     total = sum(comb(len(uni), size) for size in sizes)
-    if total > max_evaluations:
+    if total > DEFAULT_EVALUATION_LIMIT:
         raise ValueError(
             f"enumeration would evaluate about {total} seed sets, "
-            f"above the limit of {max_evaluations}"
+            f"above the limit of {DEFAULT_EVALUATION_LIMIT}"
         )
 
     value, seed, explored = _search(inst, uni, sizes, mode == "closed", goal == "max")

@@ -88,7 +88,7 @@ def test_criterion_05a_influence_decision_sound_directions():
 
 def test_criterion_06_min_closed_dichotomy():
     t0 = time.perf_counter()
-    out = suite_min_closed_gap(graphs=500, k_max=4, h=3, seed=106)
+    out = suite_min_closed_gap(graphs=500, k_max=4, seed=106)
     _report(
         "criterion 6: min closed influence k vs k+4 dichotomy, h=3", out, t0
     )
@@ -124,6 +124,6 @@ def test_criterion_09_gadget_directionality():
 
 def test_criterion_10_padding_arithmetic():
     t0 = time.perf_counter()
-    out = suite_padding(k_lo=4, k_hi=10)
+    out = suite_padding()
     _report("criterion 10: padding inequalities minimal and tight", out, t0)
     assert time.perf_counter() - t0 < 1

@@ -29,7 +29,7 @@ output 7
 def test_parse_two_level_circuit():
     c = parse_circuit(TWO_LEVEL_CIRCUIT)
     assert c.n_inputs == 4
-    assert len(c.gates) == 3
+    assert c.n_nodes - c.n_inputs == 3
     assert c.output == 7
     assert c.kinds[5] == "or" and c.kinds[7] == "and"
 

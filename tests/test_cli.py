@@ -1,7 +1,9 @@
+import inspect
+
 import pytest
 
 from tsslab import verify
-from tsslab.cli import main
+from tsslab.cli import _VERIFY_FLAGS, main
 
 TWO_PATH = "tss 2 1\nt 1 1\nt 2 1\ne 1 2\n"
 
@@ -40,11 +42,20 @@ def test_gen_reproducible(capsys):
         assert capsys.readouterr().out == first
 
 
-@pytest.mark.parametrize("thresholds", ["majority:3", "unanimity:2", "uniform:1", "constant:x"])
+@pytest.mark.parametrize(
+    "thresholds", ["majority:3", "unanimity:2", "uniform:1", "constant:x", "foo", "constant:0"]
+)
 def test_gen_bad_thresholds_exits_2(thresholds, capsys):
     assert main(["gen", "-n", "3", "-p", "0.5", "--thresholds", thresholds]) == 2
     captured = capsys.readouterr()
     assert "--thresholds" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("flag, n, p", [("-n", "-1", "0.5"), ("-p", "3", "2")])
+def test_gen_bad_value_names_flag(flag, n, p, capsys):
+    assert main(["gen", "-n", n, "-p", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag} must") and captured.out == ""
 
 
 def test_propagate_trace_record(inst_file, capsys):
@@ -155,12 +166,6 @@ def test_reduce_thresholds_to_two(tmp_path):
     assert "vertices 10" in (out / "params.txt").read_text()
 
 
-def test_verify_padding_passes(capsys):
-    assert main(["verify", "padding"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
-
-
 def test_verify_gadget_direction(capsys):
     assert main(["verify", "gadget-direction", "--chains", "3"]) == 0
 
@@ -265,6 +270,12 @@ def test_verify_golden_stdout(command, passed, capsys):
 
 def test_verify_golden_covers_every_suite():
     assert {command.split()[0] for command, _ in VERIFY_GOLDEN} == set(verify.SUITES)
+
+
+def test_every_suite_keyword_is_a_verify_flag():
+    flags = {name for _, name, _ in _VERIFY_FLAGS}
+    for name, suite in verify.SUITES.items():
+        assert set(inspect.signature(suite).parameters) <= flags, name
 
 
 def test_verify_counterexample_exits_1(monkeypatch, capsys):

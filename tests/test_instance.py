@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tsslab.gadgets import reduce_thresholds_to_two
+from tsslab.gadgets import InstanceBuilder, reduce_thresholds_to_two
 from tsslab.instance import (
     GeneratorConfig,
     Graph,
@@ -87,8 +87,18 @@ def test_graph_rejects_bad_edges():
 
 
 def test_instance_rejects_small_threshold():
+    g = Graph(2, [(1, 2)])
     with pytest.raises(ValueError):
-        Instance(Graph(2, [(1, 2)]), [1, 0])
+        Instance(g, [1, 0])
+    # A threshold that is not an integer is rejected, not truncated.
+    with pytest.raises(ValueError, match="threshold 1.5 at vertex 1 is not an integer"):
+        Instance(g, [1.5, 2])
+    with pytest.raises(ValueError, match="threshold '2' at vertex 2 is not an integer"):
+        Instance(g, {1: 1, 2: "2"})
+    b = InstanceBuilder()
+    b.add_vertex(1.5, "x")
+    with pytest.raises(ValueError, match="at vertex 1 is not an integer"):
+        b.build("x")
 
 
 def test_generator_empty_graph_forces_min_threshold():

@@ -168,7 +168,7 @@ def test_max_open_triangle():
     assert res.value == 1
 
 
-def test_min_uses_exact_cardinality():
+def test_min_uses_exact_size():
     inst = path(2)
     res = k_influence(inst, 1, "open", "min")
     assert res.value == 1  # the empty seed is not allowed for minimization
@@ -178,12 +178,6 @@ def test_max_uses_at_most_cardinality():
     inst = star(3)
     res = k_influence(inst, 2, "open", "max")
     assert res.value == 3 and res.seed == {1}  # a smaller seed wins
-
-
-def test_exact_cardinality_override():
-    inst = star(3)
-    res = k_influence(inst, 2, "open", "max", exact_cardinality=True)
-    assert res.value == 2 and len(res.seed) == 2
 
 
 def test_universe_restriction():
@@ -198,7 +192,7 @@ def test_universe_restriction():
 def test_influence_refusal_on_huge_enumeration():
     inst = path(40)
     with pytest.raises(ValueError):
-        k_influence(inst, 12, "closed", "max", max_evaluations=1000)
+        k_influence(inst, 12, "closed", "max")
 
 
 def test_k_influence_matches_naive_all_modes():
@@ -341,14 +335,14 @@ def check_target_scan(inst, cap):
     assert res.explored == rank
 
 
-def check_max_scan(inst, k, mode, universe, exact=False):
+def check_max_scan(inst, k, mode, universe):
     n = inst.n
     uni = range(1, n + 1) if universe is None else sorted(universe)
-    sizes = [k] if exact else range(min(k, len(uni)) + 1)
+    sizes = range(min(k, len(uni)) + 1)
     off = (lambda c: 0) if mode == "closed" else (lambda c: c)
     value = lambda combo: len(naive_closure(inst, combo)) - off(len(combo))
     best, seed, rank = lex_scan(inst, uni, sizes, value, lambda c: n - off(c))
-    res = k_influence(inst, k, mode, "max", exact, universe=universe)
+    res = k_influence(inst, k, mode, "max", universe=universe)
     assert (res.value, res.seed, res.explored) == (best, seed, rank)
 
 
@@ -369,9 +363,8 @@ def test_dominance_scans_match_lexicographic_scan():
         if rng.random() < 0.4:
             universe = rng.sample(range(1, inst.n + 1), rng.randint(1, inst.n))
         k = rng.randint(0, inst.n if universe is None else len(universe))
-        exact = rng.random() < 0.25
         for mode in ("closed", "open"):
-            check_max_scan(inst, k, mode, universe, exact)
+            check_max_scan(inst, k, mode, universe)
     # Benchmark-sized max scans, where most leaves activate only themselves.
     for n in (20, 22, 24):
         inst = generate_random(
@@ -386,8 +379,7 @@ def test_dominance_scans_match_lexicographic_scan():
         for cap_or_k in (0, inst.n):
             check_target_scan(inst, cap_or_k)
             for mode in ("closed", "open"):
-                for exact in (False, True):
-                    check_max_scan(inst, cap_or_k, mode, None, exact)
+                check_max_scan(inst, cap_or_k, mode, None)
 
 
 def test_dominance_scans_on_compiled_circuits():
@@ -405,7 +397,7 @@ def test_dominance_scans_on_compiled_circuits():
 
 
 def floor_case(rng):
-    """(instance, k, mode, goal, exact, universe) drawn like the dichotomy
+    """(instance, k, mode, goal, universe) drawn like the dichotomy
     checks: min-closed and decision compilations, or a random instance with
     some thr > deg vertices."""
     kind = rng.randrange(3)
@@ -426,8 +418,7 @@ def floor_case(rng):
     universe = None
     if rng.random() < 0.4:
         universe = rng.sample(range(1, inst.n + 1), rng.randint(min(k, inst.n), inst.n))
-    exact = rng.choice((None, True, False))
-    return inst, k, mode, goal, exact, universe
+    return inst, k, mode, goal, universe
 
 
 def naive_min_scan(inst, universe, sizes, closed):
@@ -474,24 +465,23 @@ def test_min_floor_matches_brute_force():
     rng = random.Random(61)
     cases = 0
     while cases < 300:
-        inst, k, mode, goal, exact, universe = floor_case(rng)
+        inst, k, mode, goal, universe = floor_case(rng)
         u = inst.n if universe is None else len(universe)
-        sizes = [k] if (goal == "min" if exact is None else exact) else range(min(k, u) + 1)
+        sizes = [k] if goal == "min" else range(min(k, u) + 1)
         total = sum(comb(u, c) for c in sizes)
         if k > u or total > 3000:  # keep the brute-force oracle cheap
             continue
         cases += 1
-        res = k_influence(inst, k, mode, goal, exact, universe=universe)
-        want = brute_force_best_influence(inst, k, mode, goal, exact, universe)
-        assert (res.value, res.seed) == want, (cases, k, mode, goal, exact, universe)
+        res = k_influence(inst, k, mode, goal, universe=universe)
+        want = brute_force_best_influence(inst, k, mode, goal, universe)
+        assert (res.value, res.seed) == want, (cases, k, mode, goal, universe)
         assert res.explored <= total
         if goal == "min":
             uni = range(1, inst.n + 1) if universe is None else sorted(universe)
             ref = naive_min_scan(inst, uni, sizes, mode == "closed")
-            assert (res.value, res.seed, res.explored) == ref, (cases, k, mode, exact, universe)
+            assert (res.value, res.seed, res.explored) == ref, (cases, k, mode, universe)
     for inst in EMPTY_AND_EDGELESS:
         for mode in ("closed", "open"):
-            for exact in (None, True, False):
-                res = k_influence(inst, 0, mode, "min", exact)
-                ref = naive_min_scan(inst, range(1, inst.n + 1), [0], mode == "closed")
-                assert (res.value, res.seed, res.explored) == ref, (inst.n, mode, exact)
+            res = k_influence(inst, 0, mode, "min")
+            ref = naive_min_scan(inst, range(1, inst.n + 1), [0], mode == "closed")
+            assert (res.value, res.seed, res.explored) == ref, (inst.n, mode)
