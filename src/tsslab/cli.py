@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import verify
@@ -181,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("-i", "--input", required=True)
     red.add_argument("-o", "--output", required=True, help="output directory")
     red.add_argument("-k", type=int, default=None)
-    red.add_argument("--h", type=int, default=None, dest="h")
+    red.add_argument("--h", type=int, default=1, dest="h")
     red.add_argument("--rho", default=None, help="const:<c>, linear:<c>, poly:<c>,<d>")
     red.add_argument("--mode", choices=("open", "closed"), default="closed")
 
@@ -262,10 +263,10 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         else:
             build, variant = _GAP_REDUCTIONS[args.name]
             if args.rho is not None:
-                params = choose_gap_padding(
+                p = choose_gap_padding(
                     args.k, rho_preset(args.rho), variant, rho_label=args.rho
                 )
-                r = build(g, args.k, params)
+                r = replace(build(g, args.k, h=p.h), params=p)
             else:
                 r = build(g, args.k, h=args.h)
     outdir = Path(args.output)

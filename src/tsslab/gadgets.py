@@ -9,12 +9,13 @@ t builds a triangular grid of counter cells: w^i_j activates exactly when
 at least j of u_1..u_i are active, and a final directed edge gadget from
 w^d_t releases v.  This simulates any threshold with thresholds <= 2.
 
-Builds are bulk appends.  A relay checks its two endpoints, then appends
-its four vertices and six edges unchecked: every edge touches a fresh
-vertex, so none can be out of range, a self-loop or a duplicate.  `build()`
-assembles its Graph from the builder's edge set without re-validating it.
-The public `InstanceBuilder.add_edge` and `Graph(...)` keep every check,
-and a rejected gadget call leaves the builder unchanged.
+Builds are bulk appends.  Every builder edge is created together with its
+newer endpoint: `add_vertex` joins the new vertex to checked existing
+neighbours, and a relay checks its two endpoints, then appends its four
+vertices and six edges.  So no edge can be out of range, a self-loop or a
+duplicate, and `build()` assembles its Graph from the builder's edge list
+without re-validating it.  A rejected builder call leaves the builder
+unchanged.
 """
 
 from __future__ import annotations
@@ -97,34 +98,37 @@ class InstanceBuilder:
         self._thr: list[int] = [0]
         self._tags: list[str] = [""]
         self._origin: list[int] = [0]
-        self._edges: set[tuple[int, int]] = set()
+        self._edges: list[tuple[int, int]] = []
         self._next_gadget = 1
 
     @property
     def vertex_count(self) -> int:
         return len(self._thr) - 1
 
-    def add_vertex(self, threshold: int, tag: str, origin: int = 0) -> int:
-        if threshold < 1:
-            raise ValueError("threshold below 1")
+    def add_vertex(
+        self, threshold: int, tag: str, origin: int = 0, nbrs: Sequence[int] = ()
+    ) -> int:
+        """Append a vertex joined to the existing vertices `nbrs`; returns
+        its id.  The threshold, the origin (0..n) and the neighbours
+        (distinct, in 1..n) are checked before anything changes."""
+        n = len(self._thr) - 1
+        _check_threshold(threshold)
+        if not 0 <= origin <= n:
+            raise ValueError(f"origin {origin} out of range 0..{n}")
+        for u in nbrs:
+            self._check_vertex(u, "neighbour")
+        if len(set(nbrs)) != len(nbrs):
+            raise ValueError(f"repeated neighbour in {tuple(nbrs)}")
+        v = n + 1
         self._thr.append(threshold)
         self._tags.append(tag)
         self._origin.append(origin)
-        return len(self._thr) - 1
-
-    def add_edge(self, u: int, v: int) -> None:
-        n = self.vertex_count
-        if u == v or not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"bad edge ({u}, {v})")
-        e = (u, v) if u < v else (v, u)
-        if e in self._edges:
-            raise ValueError(f"duplicate edge ({e[0]}, {e[1]})")
-        self._edges.add(e)
+        self._edges += [(u, v) for u in nbrs]
+        return v
 
     def set_threshold(self, v: int, threshold: int) -> None:
         self._check_vertex(v, "vertex")
-        if threshold < 1:
-            raise ValueError("threshold below 1")
+        _check_threshold(threshold)
         self._thr[v] = threshold
 
     def _check_vertex(self, v: int, role: str) -> None:
@@ -138,8 +142,7 @@ class InstanceBuilder:
 
         Both endpoints are checked before anything changes.  The six edges
         then go in unchecked, each as (smaller, larger): each touches one of
-        the four fresh vertices, so none can be out of range, a self-loop or
-        a duplicate.
+        the four fresh vertices.
         """
         n = len(self._thr) - 1
         if u == v:
@@ -153,7 +156,7 @@ class InstanceBuilder:
         self._thr += (1, 1, 2, 1)
         self._tags += (f"d{gid}a", f"d{gid}b", f"d{gid}c", f"d{gid}d")
         self._origin += (u, u, u, u)
-        self._edges.update(((a, b), (b, c), (c, d), (a, d), (u, a), (v, c)))
+        self._edges += ((a, b), (b, c), (c, d), (a, d), (u, a), (v, c))
         return a
 
     def add_directed_edge_gadget(self, u: int, v: int) -> DirectedEdgeGadget:
@@ -202,30 +205,18 @@ class InstanceBuilder:
         self.set_threshold(v, 1)
         return ActivationGadget(v, tuple(inputs), t, w, wt, tuple(parts))
 
-    def build(
-        self,
-        kind: str,
-        *,
-        source_instance: Instance | None = None,
-        source_circuit: MonotoneCircuit | None = None,
-        source_graph: Graph | None = None,
-        k: int | None = None,
-        ell: int | None = None,
-        params: object | None = None,
-    ) -> ReducedInstance:
+    def build(self, kind: str, **fields: object) -> ReducedInstance:
+        """The instance built so far; `fields` fill the optional
+        `ReducedInstance` fields (source, k, ell, params)."""
         inst = Instance(Graph._trusted(self.vertex_count, self._edges), self._thr[1:])
-        return ReducedInstance(
-            instance=inst,
-            kind=kind,
-            provenance=tuple(self._tags),
-            origin=tuple(self._origin),
-            source_instance=source_instance,
-            source_circuit=source_circuit,
-            source_graph=source_graph,
-            k=k,
-            ell=ell,
-            params=params,
-        )
+        return ReducedInstance(inst, kind, tuple(self._tags), tuple(self._origin), **fields)
+
+
+def _check_threshold(threshold: int) -> None:
+    if not isinstance(threshold, int):
+        raise ValueError(f"threshold {threshold!r} is not an integer")
+    if threshold < 1:
+        raise ValueError(f"threshold {threshold} below 1")
 
 
 def reduce_thresholds_to_two(inst: Instance) -> ReducedInstance:

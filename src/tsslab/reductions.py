@@ -28,8 +28,9 @@ class GapParameters:
     integer with x/rho(x) >= g, and h is the smallest integer making the
     construction's guaranteed yield k + (h+1)*C(k,2) + 4*h*C(k,2)^2 reach x.
     For the min-closed variant, h is the smallest integer >= 1 with
-    k + h + 1 >= k*rho(k) and g = k + h + 1 (x is not used).  h may also be
-    fixed directly via `with_h`, which is all the finite gap checks need.
+    k + h + 1 >= k*rho(k) and g = k + h + 1 (x is not used).  The gap
+    builders take h alone (default 1) and record `with_h(k, h, variant)`;
+    `choose_gap_padding` picks h, and x, for a ratio function rho.
     """
 
     variant: str  # "clique" | "min-closed"
@@ -228,55 +229,36 @@ def _incidence_layer(
     edge_side = []
     for u, v in g.edges:
         for j in range(1, copies + 1):
-            ev = b.add_vertex(2, f"e{u}-{v}" if copies == 1 else f"e{u}-{v}.{j}")
-            b.add_edge(u, ev)
-            b.add_edge(v, ev)
-            edge_side.append(ev)
+            tag = f"e{u}-{v}" if copies == 1 else f"e{u}-{v}.{j}"
+            edge_side.append(b.add_vertex(2, tag, nbrs=(u, v)))
     return edge_side
 
 
-def _gap_params(
-    k: int, params: GapParameters | None, h: int | None, variant: str
-) -> GapParameters:
-    """The padding a gap construction uses: `params` as given, checked
-    against k and `variant`, or the `variant` parameters for h (default 1)."""
-    if params is not None and h is not None:
-        raise ValueError("give either params or h, not both")
-    if params is None:
-        params = GapParameters.with_h(k, 1 if h is None else h, variant)
-    if params.variant != variant:
-        raise ValueError(f"params must come from the {variant} variant")
-    if params.k != k:
-        raise ValueError(f"params computed for k={params.k}, construction got k={k}")
-    return params
-
-
-def clique_to_max_influence(
-    g: Graph, k: int, params: GapParameters | None = None, *, h: int | None = None
-) -> ReducedInstance:
+def clique_to_max_influence(g: Graph, k: int, *, h: int = 1) -> ReducedInstance:
     """Incidence graph plus h replicated counter layers: a k-clique seed
     yields closed influence of at least k + (h+1)C(k,2) + 4hC(k,2)^2, while
     without a k-clique every k-seed stays below g = k + C(k,2) + 4C(k,2)^2.
 
     Layout: vertex side (threshold = source degree), edge side (threshold
     2), then the z layers (threshold C(k,2)), then gadget interiors.
-    Requires k >= 4 so that k < C(k,2).
+    Requires k >= 4 so that k < C(k,2).  h defaults to 1; the result's
+    params are `GapParameters.with_h(k, h, "clique")`.
     """
     if k < 4:
         raise ValueError("clique construction requires k >= 4")
-    params = _gap_params(k, params, h, "clique")
+    params = GapParameters.with_h(k, h, "clique")
 
     c2 = comb(k, 2)
     b = InstanceBuilder()
     edge_vertex = _incidence_layer(b, g, lambda v: max(1, g.degree(v)), 1)
     z: dict[tuple[int, int], int] = {}
-    for layer in range(1, params.h + 1):
+    for layer in range(1, h + 1):
         for j in range(1, c2 + 1):
             z[layer, j] = b.add_vertex(c2, f"z{layer}.{j}")
     for ev in edge_vertex:
         for j in range(1, c2 + 1):
             b._relay(ev, z[1, j])
-    for layer in range(1, params.h):
+    for layer in range(1, h):
         for j in range(1, c2 + 1):
             for t in range(1, c2 + 1):
                 b._relay(z[layer, j], z[layer + 1, t])
@@ -313,9 +295,7 @@ def is_to_influence_decision(g: Graph, k: int, mode: str = "closed") -> ReducedI
     )
 
 
-def is_to_min_closed_influence(
-    g: Graph, k: int, params: GapParameters | None = None, *, h: int | None = None
-) -> ReducedInstance:
+def is_to_min_closed_influence(g: Graph, k: int, *, h: int = 1) -> ReducedInstance:
     """Incidence graph (r = max(1, k-1) edge-side copies per source edge, as
     in `is_to_influence_decision`) plus h trigger vertices joined completely
     to the edge side: minimum closed influence over size-k seeds is exactly
@@ -331,18 +311,15 @@ def is_to_min_closed_influence(
     source edges) and every vertex of positive degree: at least
     h + r*m + 2 >= k + h + 1 vertices.  For h = 1
     a case check on where the seed lies gives the same bound.  Degree-0
-    source vertices need no special care.
+    source vertices need no special care.  h defaults to 1; the result's
+    params are `GapParameters.with_h(k, h, "min-closed")`.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must lie in 1..{g.n}")
-    params = _gap_params(k, params, h, "min-closed")
+    params = GapParameters.with_h(k, h, "min-closed")
 
     b = InstanceBuilder()
     edge_vertex = _incidence_layer(b, g, lambda v: 1, max(1, k - 1))
-    for i in range(1, params.h + 1):
-        fv = b.add_vertex(1, f"f{i}")
-        for ev in edge_vertex:
-            b.add_edge(ev, fv)
-    return b.build(
-        "independence-min-closed", source_graph=g, k=k, params=params
-    )
+    for i in range(1, h + 1):
+        b.add_vertex(1, f"f{i}", nbrs=edge_vertex)
+    return b.build("independence-min-closed", source_graph=g, k=k, params=params)

@@ -474,7 +474,7 @@ def suite_clique_gap(
     cliqueful = cliquefree = 0
     for _ in range(graphs):
         g = random_graph(rng, rng.randint(4, 8), rng.uniform(0.3, 0.9))
-        r = clique_to_max_influence(g, 4, params)
+        r = clique_to_max_influence(g, 4, h=1)
         red = r.instance
         clique = find_clique(g, 4)
         if clique is not None:

@@ -2,6 +2,7 @@ import inspect
 
 import pytest
 
+import tsslab
 from tsslab import verify
 from tsslab.cli import _VERIFY_FLAGS, main
 
@@ -329,3 +330,23 @@ def test_parse_error_exits_2(tmp_path, capsys):
     bad.write_text("tss 1 0\nt 1 0\n")
     assert main(["propagate", "-i", str(bad), "-s", ""]) == 2
     assert "threshold below 1" in capsys.readouterr().err
+
+
+# The public names are part of the contract next to the CLI text.
+PUBLIC_NAMES = [
+    "ActivationGadget", "DirectedEdgeGadget", "GapParameters", "GeneratorConfig",
+    "Graph", "Instance", "InstanceBuilder", "MonotoneCircuit", "ParseError",
+    "PropagationTrace", "Propagator", "ReducedInstance", "SolveResult", "activate",
+    "activate_round", "build_circuit", "choose_gap_padding", "clique_to_max_influence",
+    "evaluate", "generate_random", "greedy_target_set", "incidence_graph", "influence",
+    "is_target_set", "is_to_influence_decision", "is_to_min_closed_influence",
+    "k_influence", "map_target_set_to_assignment", "mcs_to_tss",
+    "min_open_influence_unanimity", "min_weight_satisfying", "optimal_target_set",
+    "parse_circuit", "parse_instance", "reduce_thresholds_to_two", "rho_preset",
+    "unanimity_target_set_2approx", "write_circuit", "write_instance",
+]
+
+
+def test_public_names_pinned():
+    assert sorted(tsslab.__all__) == PUBLIC_NAMES
+    assert all(hasattr(tsslab, name) for name in PUBLIC_NAMES)

@@ -7,7 +7,12 @@ import pytest
 from tsslab.gadgets import InstanceBuilder, reduce_thresholds_to_two
 from tsslab.instance import GeneratorConfig, Graph, Instance, generate_random, write_instance
 from tsslab.propagation import activate, is_target_set
-from tsslab.reductions import clique_to_max_influence, mcs_to_tss
+from tsslab.reductions import (
+    clique_to_max_influence,
+    is_to_influence_decision,
+    is_to_min_closed_influence,
+    mcs_to_tss,
+)
 from tsslab.solvers import optimal_target_set
 from tsslab.verify import (
     brute_force_min_target_set,
@@ -240,13 +245,16 @@ def test_bulk_build_matches_validating_graph():
             if op < 0.2:
                 b.add_vertex(rng.randint(1, 4), "x")
             elif op < 0.5:
-                u, v = rng.randint(1, n), rng.randint(1, n)
-                if u == v or sorted((u, v)) in map(sorted, edges):
+                nbrs = rng.sample(range(1, n + 1), rng.randint(0, min(n, 4)))
+                if rng.random() < 0.3:
+                    bad = rng.choice((0, n + 1, *nbrs))  # repeated or out of range
+                    before = _layout(b.build("mixed"))
                     with pytest.raises(ValueError):
-                        b.add_edge(u, v)
+                        b.add_vertex(1, "x", nbrs=nbrs + [bad])
+                    assert b.vertex_count == n and _layout(b.build("mixed")) == before
                 else:
-                    b.add_edge(u, v)
-                    edges.append((u, v))
+                    v = b.add_vertex(rng.randint(1, 4), "x", nbrs=nbrs)
+                    edges += [(u, v) for u in nbrs]
             elif op < 0.6:
                 b.set_threshold(rng.randint(1, n), rng.randint(1, 4))
             elif op < 0.85:
@@ -262,14 +270,40 @@ def test_bulk_build_matches_validating_graph():
         assert got == ref and got.m == ref.m and got.adj == ref.adj
 
 
-def test_add_edge_keeps_every_check():
+def test_add_vertex_checks_before_any_change():
     b, u, v = two_vertices()
-    gd = b.add_directed_edge_gadget(u, v)
-    n = b.vertex_count
-    for bad in ((u, u), (0, u), (u, n + 1), (u, gd.a), (gd.a, u), (v, gd.c), (gd.b, gd.a)):
-        with pytest.raises(ValueError):
-            b.add_edge(*bad)
-    assert b.build("chain").instance.m == 6
+    b.add_vertex(1, "w", origin=u, nbrs=(u, v))
+    before = _layout(b.build("three"))
+    for kwargs, match in (
+        ({"origin": 4}, "origin 4 out of range 0..3"),  # the new vertex's own id
+        ({"origin": 9}, "origin 9 out of range 0..3"),
+        ({"origin": -1}, "origin -1 out of range 0..3"),
+        ({"nbrs": (u, 4)}, "neighbour 4 out of range 1..3"),
+        ({"nbrs": (0,)}, "neighbour 0 out of range 1..3"),
+        ({"nbrs": (v, u, v)}, "repeated neighbour"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            b.add_vertex(1, "y", **kwargs)
+        assert b.vertex_count == 3 and _layout(b.build("three")) == before
+    for bad, match in (
+        (1.5, "threshold 1.5 is not an integer"),
+        ("2", "threshold '2' is not an integer"),
+        (0, "threshold 0 below 1"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            b.add_vertex(bad, "y")
+        with pytest.raises(ValueError, match=match):
+            b.set_threshold(u, bad)
+        assert b.vertex_count == 3 and _layout(b.build("three")) == before
+    # An origin past n would send back_map out of range, or round a loop
+    # for ever when it names the new vertex itself.
+    with pytest.raises(ValueError, match="origin 5 out of range 0..0"):
+        InstanceBuilder().add_vertex(1, "x", origin=5)
+    one = InstanceBuilder()
+    one.add_vertex(1, "x")
+    with pytest.raises(ValueError, match="origin 2 out of range 0..1"):
+        one.add_vertex(1, "y", origin=2)
+    assert one.build("one").back_map([1]) == {1}
 
 
 # sha256 of write_instance + provenance_text + origin per reduction: pins
@@ -279,16 +313,24 @@ LAYOUT_DIGESTS = {
     "mcs_to_tss (3,3)[::7]": "1bdbbdaf5ee3ad280bdcf5d019cc8c0461fae7a5555fd3057006c0f7a700a332",
     "thresholds-to-two": "ecbbf16b8a1f798b3d3a75040292b7a2addb1e34e9297b1988882064e855c57c",
     "clique": "1cc50fe39c99fe8e31a3fbe1bd5ef5375f034089293646d8f8b28ebd61ace6a7",
+    "is-decision": "04d4b3d290fa17a6816bd623275463b72b779264e0684766dfa09c997a619e35",
+    "is-min-closed": "13103922a256ec1d10d7df7d5de7081755eaa76991795c2c7fb1ba5a816d29eb",
 }
 
 
 def test_reduction_layouts_pinned():
+    rng = random.Random(13)
+    graphs = [random_graph(rng, rng.randint(4, 7), rng.uniform(0.2, 0.8)) for _ in range(5)]
     builds = {
         "mcs_to_tss (3,3)[::7]": [mcs_to_tss(c) for c in enumerate_small_circuits(3, 3)[::7]],
         "thresholds-to-two": [
             reduce_thresholds_to_two(generate_random(GeneratorConfig(30, 0.3, "uniform", 11)))
         ],
         "clique": [clique_to_max_influence(random_graph(random.Random(12), 9, 0.6), 4, h=2)],
+        "is-decision": [is_to_influence_decision(g, k) for g in graphs for k in range(1, 5)],
+        "is-min-closed": [
+            is_to_min_closed_influence(g, k, h=h) for g in graphs for k in range(1, 5) for h in (1, 3)
+        ],
     }
     for name, reduced in builds.items():
         text = "".join(map(_layout, reduced))

@@ -95,10 +95,9 @@ def test_instance_rejects_small_threshold():
         Instance(g, [1.5, 2])
     with pytest.raises(ValueError, match="threshold '2' at vertex 2 is not an integer"):
         Instance(g, {1: 1, 2: "2"})
-    b = InstanceBuilder()
-    b.add_vertex(1.5, "x")
-    with pytest.raises(ValueError, match="at vertex 1 is not an integer"):
-        b.build("x")
+    # The builder rejects it at the call, naming the value.
+    with pytest.raises(ValueError, match="threshold 1.5 is not an integer"):
+        InstanceBuilder().add_vertex(1.5, "x")
 
 
 def test_generator_empty_graph_forces_min_threshold():

@@ -200,23 +200,6 @@ def test_clique_rejects_small_k():
         clique_to_max_influence(k_complete(8), 3)
 
 
-@pytest.mark.parametrize(
-    "build, variant, other",
-    [
-        (clique_to_max_influence, "clique", "min-closed"),
-        (is_to_min_closed_influence, "min-closed", "clique"),
-    ],
-)
-def test_gap_builders_check_params(build, variant, other):
-    g = k_complete(5)
-    with pytest.raises(ValueError, match="give either params or h, not both"):
-        build(g, 4, GapParameters.with_h(4, 1, variant), h=1)
-    with pytest.raises(ValueError, match=f"params must come from the {variant} variant"):
-        build(g, 4, GapParameters.with_h(4, 1, other))
-    with pytest.raises(ValueError, match="params computed for k=5, construction got k=4"):
-        build(g, 4, GapParameters.with_h(5, 1, variant))
-
-
 def test_clique_layered_construction():
     r = clique_to_max_influence(k_complete(5), 4, h=2)
     got = influence(r.instance, [1, 2, 3, 4])
@@ -361,5 +344,3 @@ def test_gap_parameters_validation():
         GapParameters("clique", 4, 154, 0)
     with pytest.raises(ValueError):
         GapParameters("other", 4, 154, 1)
-    with pytest.raises(ValueError):
-        clique_to_max_influence(k_complete(5), 4, GapParameters.with_h(5, 1, "clique"))
