@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("-i", "--input", required=True)
     red.add_argument("-o", "--output", required=True, help="output directory")
     red.add_argument("-k", type=int, default=None)
-    red.add_argument("--h", type=int, default=1, dest="h")
+    red.add_argument("--h", type=int, default=None, dest="h", help="gap padding (default 1)")
     red.add_argument("--rho", default=None, help="const:<c>, linear:<c>, poly:<c>,<d>")
     red.add_argument("--mode", choices=("open", "closed"), default="closed")
 
@@ -262,13 +262,17 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             r = is_to_influence_decision(g, args.k, args.mode)
         else:
             build, variant = _GAP_REDUCTIONS[args.name]
-            if args.rho is not None:
+            if args.rho is None:
+                r = build(g, args.k, h=1 if args.h is None else args.h)
+            elif args.h is not None:
+                raise ParseError(
+                    f"--h {args.h} and --rho {args.rho!r} both set the padding; give one"
+                )
+            else:
                 p = choose_gap_padding(
                     args.k, rho_preset(args.rho), variant, rho_label=args.rho
                 )
                 r = replace(build(g, args.k, h=p.h), params=p)
-            else:
-                r = build(g, args.k, h=args.h)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "instance.tss").write_text(write_instance(r.instance), encoding="utf-8")

@@ -14,8 +14,9 @@ newer endpoint: `add_vertex` joins the new vertex to checked existing
 neighbours, and a relay checks its two endpoints, then appends its four
 vertices and six edges.  So no edge can be out of range, a self-loop or a
 duplicate, and `build()` assembles its Graph from the builder's edge list
-without re-validating it.  A rejected builder call leaves the builder
-unchanged.
+without re-validating it.  Thresholds are checked as `add_vertex` and
+`set_threshold` take them, so `build()` does not check them again either.
+A rejected builder call leaves the builder unchanged.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ class InstanceBuilder:
     def build(self, kind: str, **fields: object) -> ReducedInstance:
         """The instance built so far; `fields` fill the optional
         `ReducedInstance` fields (source, k, ell, params)."""
-        inst = Instance(Graph._trusted(self.vertex_count, self._edges), self._thr[1:])
+        inst = Instance._trusted(Graph._trusted(self.vertex_count, self._edges), self._thr)
         return ReducedInstance(inst, kind, tuple(self._tags), tuple(self._origin), **fields)
 
 

@@ -106,6 +106,16 @@ class Instance:
         self.graph = graph
         self.thr = tuple(thr)  # index 0 is a sentinel
 
+    @classmethod
+    def _trusted(cls, graph: Graph, thr: Sequence[int]) -> "Instance":
+        """Instance from thresholds already known to be integers >= 1, one
+        per vertex after a sentinel at index 0, skipping the checks
+        `Instance(...)` makes."""
+        inst = cls.__new__(cls)
+        inst.graph = graph
+        inst.thr = tuple(thr)
+        return inst
+
     @property
     def n(self) -> int:
         return self.graph.n

@@ -9,8 +9,9 @@ Every one-shot run (`activate`, `activate_round`, `is_target_set`,
 `influence`) goes through one countdown kernel, `_rounds`.
 The `Propagator` journal serves only the internal levels of the exhaustive
 scans, which push and pop seeds around a shared prefix; a scan's leaves,
-its singleton-closure table and the greedy heuristic's candidates ask
-`Propagator.gain`, which leaves the journal alone.
+its singleton-closure table, the target-set kernel and the greedy
+heuristic's candidates ask `Propagator.gain`, which leaves the journal
+alone.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ class Propagator:
     undo journal, which the internal levels of exhaustive seed-set scans use
     to share the propagation work of common prefixes.  `gain` answers what
     one more seed would activate without a journal entry, which is how scan
-    leaves, singleton-closure tables and greedy candidates are evaluated.
+    leaves, singleton-closure tables, the target-set kernel and greedy
+    candidates are evaluated.
     Not thread-safe: use one Propagator per thread.
     """
 

@@ -40,6 +40,16 @@ itself).  There `explored` counts the seed sets evaluated in one
 lexicographic pass with a running incumbent, so it excludes pruned and
 floor-skipped subtrees.  `greedy_target_set` rates its candidates with
 `gain` too.
+
+`optimal_target_set` proves its lower bound on a kernel.  A vertex b is
+dominated when some other vertex a has b in cl({a}) and either a not in
+cl({b}) or a < b; any target set can swap b for a without growing, so the
+least target-set size over the undominated vertices (`_undominated`)
+equals the least over all of them.  The kernel's walk in id order also
+scans size 1; from c = 2 on, each cardinality is decided on the kernel,
+and only the cardinality that holds a target set is scanned over all
+vertices.  Every cardinality ruled out counts at its full size, so the
+witness and `explored` are those of the full scan.
 """
 
 from __future__ import annotations
@@ -226,6 +236,59 @@ def _singleton_closures(inst: Instance, universe: Sequence[int]) -> list[int]:
     return floor
 
 
+def _undominated(inst: Instance, universe: Sequence[int]) -> list[int]:
+    """The vertices of `universe` (ascending ids) that no other universe
+    vertex dominates, largest singleton closure first (ties by id).
+
+    Vertex b is dominated when b is in cl({a}) for some universe vertex
+    a != b with a not in cl({b}) or a < b.  Dominance is a strict order:
+    b in cl({a}) means cl({b}) is a subset of cl({a}), so a dominates b
+    exactly when cl({b}) is a proper subset of cl({a}), or the two are
+    equal and a < b.  Any seed S holding b can swap b for a without
+    growing: cl(S - b + a) holds a, hence b, and the rest of S, so it
+    contains cl(S).  Swapping each dominated seed for a maximal dominator,
+    which is undominated, turns any target set into one within the kernel
+    that is no larger: the least target-set size over the kernel equals the
+    least over the universe.
+
+    One Propagator walks the universe in ascending id order.  A vertex
+    already marked is skipped; an unmarked vertex a is asked `gain(a)`,
+    and every vertex of cl({a}) except a is marked.  The unmarked universe
+    vertices are exactly the undominated ones:
+
+    - Each c marked by a is dominated by a.  If c > a this holds by
+      definition.  If c < a and a were in cl({c}), the closures would be
+      equal, and c (or the vertex that marked c, whose closure contains
+      cl({c})) would have marked a before a's turn; but a was walked
+      unmarked.  So a is not in cl({c}).
+    - Each dominated b is marked by a maximal dominator a*.  a* is
+      undominated, so by the first point it is never marked; it is walked,
+      and marks b.
+
+    A vertex a whose closure is every vertex marks all the others, so the
+    walk returns [a] at once: nothing after it would be asked.
+
+    Only walked vertices cost a `gain` call, so the walk is far cheaper
+    than the singleton-closure table over the whole universe.
+    """
+    prop = Propagator(inst)
+    n = inst.n
+    marked = bytearray(n + 1)
+    walked: list[tuple[int, int]] = []
+    for a in universe:
+        if marked[a]:
+            continue
+        closure = prop.gain(a)
+        if len(closure) == n:
+            return [a]
+        for c in closure:
+            marked[c] = 1
+        marked[a] = 0
+        walked.append((-len(closure), a))
+    walked.sort()
+    return [a for _, a in walked if not marked[a]]
+
+
 def optimal_target_set(inst: Instance, size_cap: int | None = None) -> SolveResult:
     """Smallest target set, by exhaustive cardinality-major search.
 
@@ -234,20 +297,47 @@ def optimal_target_set(inst: Instance, size_cap: int | None = None) -> SolveResu
     target set of size <= size_cap exists the result carries no seed and
     optimal=False; a negative size_cap raises ValueError.
 
-    The scan is a closed max-influence scan that stops at value n, so it
+    The lower bound is proved on the undominated-vertex kernel
+    (`_undominated`), which always holds a least target set, so the kernel
+    itself is a target set.  Its walk in id order doubles as the scan of
+    size 1: the kernel is one vertex exactly when some singleton is a
+    target set, and that vertex is then the first such singleton, which
+    dominates every later one (equal closures, smaller id); the walk stops
+    there, as the scan of size 1 does.  From c = 2 on, a cardinality is
+    decided on the kernel; when the kernel has no target set of size c,
+    none of size c exists at all (no smaller one does either), and c is
+    counted at its full size comb(n, c).  Only the cardinality where the
+    kernel finds one is scanned over all vertices, so the witness is the
+    one the full scan returns.
+
+    That scan is a closed max-influence scan that stops at value n, so it
     skips dominated subtrees (see the module docstring): a candidate that
     an earlier sibling activates, where that sibling's subtree held no
     target set, cannot lead to one either.  `explored` is the lexicographic
     rank of the returned seed (the full count when there is none), with
-    skipped subtrees counted at full size.
+    skipped subtrees counted at full size, exactly as a scan of every
+    cardinality over all vertices counts it.
     """
     if size_cap is not None and size_cap < 0:
         raise ValueError("size_cap must be nonnegative")
     n = inst.n
     cap = n if size_cap is None else min(size_cap, n)
-    value, seed, explored = _search(inst, tuple(range(1, n + 1)), range(cap + 1), True, True)
-    if value == n:
-        return SolveResult("target-set", frozenset(seed), len(seed), True, explored)
+    explored = 1  # the empty seed, a target set only when there are no vertices
+    if n == 0:
+        return SolveResult("target-set", frozenset(), 0, True, explored)
+    if cap == 0:
+        return SolveResult("target-set", None, None, False, explored)
+    universe = tuple(range(1, n + 1))
+    kernel = _undominated(inst, universe)
+    if len(kernel) == 1:
+        # Rank of the first target singleton among the size-1 seeds: its id.
+        return SolveResult("target-set", frozenset(kernel), 1, True, explored + kernel[0])
+    explored += n
+    for c in range(2, cap + 1):
+        if _search(inst, kernel, (c,), True, True)[0] == n:
+            _, seed, rank = _search(inst, universe, (c,), True, True)
+            return SolveResult("target-set", frozenset(seed), c, True, explored + rank)
+        explored += comb(n, c)
     return SolveResult("target-set", None, None, False, explored)
 
 

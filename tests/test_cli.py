@@ -159,6 +159,28 @@ def test_reduce_min_closed_rho_below_one_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["clique", "is-min-closed"])
+def test_reduce_h_with_rho_exits_2(tmp_path, name, capsys):
+    g = tmp_path / "g.tss"
+    g.write_text(TWO_PATH)
+    out = tmp_path / "out"
+    args = ["-i", str(g), "-k", "4", "--rho", "const:2", "--h", "3", "-o", str(out)]
+    assert main(["reduce", name, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --h 3 and --rho") and captured.out == ""
+    assert not out.exists()
+
+
+def test_reduce_h_alone_sets_padding(tmp_path):
+    g = tmp_path / "g.tss"
+    g.write_text(TWO_PATH)
+    for h, flags in (("1", []), ("3", ["--h", "3"])):
+        out = tmp_path / f"out{h}"
+        assert main(["reduce", "is-min-closed", "-i", str(g), "-k", "2", *flags]
+                    + ["-o", str(out)]) == 0
+        assert f"h {h}\n" in (out / "params.txt").read_text()
+
+
 def test_reduce_thresholds_to_two(tmp_path):
     g = tmp_path / "g.tss"
     g.write_text(TWO_PATH)

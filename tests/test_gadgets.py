@@ -232,7 +232,9 @@ def _gadget_edges(gd):
 
 def test_bulk_build_matches_validating_graph():
     """build()'s unchecked Graph equals Graph(n, edges) on the edges each
-    builder call reports, across mixed builds using every builder method."""
+    builder call reports, and its unchecked Instance equals the checked
+    Instance(...) on its thresholds, across mixed builds using every
+    builder method."""
     rng = random.Random(31)
     for _ in range(120):
         b = InstanceBuilder()
@@ -265,9 +267,11 @@ def test_bulk_build_matches_validating_graph():
                 gadget = b.add_activation_gadget(v, inputs, rng.randint(3, len(inputs)))
                 for gd in gadget.gadgets:
                     edges += _gadget_edges(gd)
-        got = b.build("mixed").instance.graph
+        inst = b.build("mixed").instance
+        got = inst.graph
         ref = Graph(b.vertex_count, edges)
         assert got == ref and got.m == ref.m and got.adj == ref.adj
+        assert inst == Instance(ref, list(inst.thr[1:])) and inst.thr[0] == 0
 
 
 def test_add_vertex_checks_before_any_change():

@@ -4,9 +4,11 @@ from math import comb
 
 import pytest
 
-from tsslab.instance import GeneratorConfig, Graph, Instance, generate_random
+from tsslab.instance import THRESHOLD_MODES, GeneratorConfig, Graph, Instance, generate_random
 from tsslab.reductions import is_to_influence_decision, is_to_min_closed_influence, mcs_to_tss
 from tsslab.solvers import (
+    _search,
+    _undominated,
     greedy_target_set,
     k_influence,
     min_open_influence_unanimity,
@@ -21,6 +23,7 @@ from tsslab.verify import (
     naive_is_target_set,
     random_graph,
     random_graph_min_degree_one,
+    random_instance,
     unanimity_instance,
 )
 
@@ -391,6 +394,85 @@ def test_dominance_scans_on_compiled_circuits():
         check_max_scan(inst, 2, "open", None)
         universe = range(1, inst.n + 1, 2)
         check_max_scan(inst, 2, "closed", universe)
+
+
+# undominated-vertex kernel against its definition and the full scan --------
+
+
+def kernel_case(rng):
+    """A random instance in any threshold mode, with up to two isolated
+    vertices appended and about a quarter of its thresholds raised above
+    the degree."""
+    inst = random_instance(rng, 8, rng.choice(THRESHOLD_MODES))
+    g = Graph(inst.n + rng.randint(0, 2), inst.graph.edges)
+    thr = [inst.thr[v] if v <= inst.n else 1 for v in range(1, g.n + 1)]
+    for v in range(1, g.n + 1):
+        if rng.random() < 0.25:
+            thr[v - 1] = g.degree(v) + rng.randint(1, 2)
+    return Instance(g, thr)
+
+
+def naive_undominated(inst, universe):
+    """Universe vertices b with no universe vertex a != b such that b is in
+    cl({a}) and either a is not in cl({b}) or a < b."""
+    cl = {v: naive_closure(inst, [v]) for v in universe}
+    return {
+        b
+        for b in universe
+        if not any(a != b and b in cl[a] and (a not in cl[b] or a < b) for a in universe)
+    }
+
+
+def test_kernel_is_the_undominated_vertices():
+    rng = random.Random(71)
+    above_degree = isolated = 0
+    for _ in range(400):
+        inst = kernel_case(rng)
+        degrees = [inst.graph.degree(v) for v in range(1, inst.n + 1)]
+        above_degree += sum(t > d for t, d in zip(inst.thr[1:], degrees))
+        isolated += degrees.count(0)
+        universe = range(1, inst.n + 1)
+        if rng.random() < 0.3:
+            universe = sorted(rng.sample(universe, rng.randint(1, inst.n)))
+        kernel = _undominated(inst, universe)
+        assert set(kernel) == naive_undominated(inst, universe), (inst.graph.edges, inst.thr)
+        assert len(kernel) == len(set(kernel))
+        sizes = [len(naive_closure(inst, [v])) for v in kernel]
+        assert sizes == sorted(sizes, reverse=True)
+    assert above_degree and isolated
+
+
+def test_kernel_target_scan_matches_lexicographic_scan():
+    # Instances whose optimum is at least 2, where the kernel decides the
+    # cardinalities below it; every cap from 0 to 3.
+    rng = random.Random(73)
+    cases = 0
+    while cases < 150:
+        inst = kernel_case(rng)
+        if optimal_target_set(inst).value < 2:
+            continue
+        cases += 1
+        for cap in range(4):
+            check_target_scan(inst, cap)
+
+
+def test_kernel_target_scan_on_compiled_circuits():
+    # Every 8th circuit of the criterion-2 family against one full-order
+    # scan of every cardinality up to the cap.  The stride starts at 1: the
+    # circuits at multiples of 8 all have optimum 1, so none of them would
+    # decide a cardinality on the kernel.
+    optima = set()
+    for circ in enumerate_small_circuits(3, 3)[1::8]:
+        inst = mcs_to_tss(circ).instance
+        cap = circ.n_inputs
+        value, seed, explored = _search(inst, range(1, inst.n + 1), range(cap + 1), True, True)
+        res = optimal_target_set(inst, cap)
+        assert value == inst.n
+        assert (res.value, res.seed, res.optimal, res.explored) == (
+            len(seed), frozenset(seed), True, explored
+        ), circ
+        optima.add(res.value)
+    assert optima == {1, 2, 3}
 
 
 # singleton-closure floor against brute force ---------------------------------
