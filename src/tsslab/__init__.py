@@ -17,8 +17,6 @@ from .circuits import (
     write_circuit,
 )
 from .gadgets import (
-    ActivationGadget,
-    DirectedEdgeGadget,
     InstanceBuilder,
     ReducedInstance,
     reduce_thresholds_to_two,
@@ -29,7 +27,6 @@ from .instance import (
     Instance,
     ParseError,
     generate_random,
-    incidence_graph,
     parse_instance,
     write_instance,
 )
@@ -63,8 +60,6 @@ from .solvers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivationGadget",
-    "DirectedEdgeGadget",
     "GapParameters",
     "GeneratorConfig",
     "Graph",
@@ -84,7 +79,6 @@ __all__ = [
     "evaluate",
     "generate_random",
     "greedy_target_set",
-    "incidence_graph",
     "influence",
     "is_target_set",
     "is_to_influence_decision",

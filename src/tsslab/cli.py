@@ -250,6 +250,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
+    # The gap reductions read -k, --h and --rho; the others at most -k.
+    takes = {"mcs": (), "thresholds-to-two": (), "is-decision": ("-k",)}
+    for flag, value in (("-k", args.k), ("--h", args.h), ("--rho", args.rho)):
+        if value is not None and flag not in takes.get(args.name, (flag,)):
+            raise ParseError(f"the {args.name} reduction does not take {flag}")
     if args.name == "mcs":
         r = mcs_to_tss(parse_circuit(_read(args.input)))
     elif args.name == "thresholds-to-two":

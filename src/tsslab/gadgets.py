@@ -28,27 +28,6 @@ from .circuits import MonotoneCircuit
 from .instance import Graph, Instance
 
 
-@dataclass(frozen=True)
-class DirectedEdgeGadget:
-    gid: int
-    source: int
-    target: int
-    a: int
-    b: int
-    c: int
-    d: int
-
-
-@dataclass(frozen=True)
-class ActivationGadget:
-    owner: int
-    inputs: tuple[int, ...]
-    t: int
-    w: dict[tuple[int, int], int]
-    wt: dict[tuple[int, int], int]
-    gadgets: tuple[DirectedEdgeGadget, ...]
-
-
 @dataclass
 class ReducedInstance:
     """A constructed instance plus provenance and back-mapping data.
@@ -137,9 +116,10 @@ class InstanceBuilder:
         if not 1 <= v <= n:
             raise ValueError(f"{role} {v} out of range 1..{n}")
 
-    def _relay(self, u: int, v: int) -> int:
-        """Directed edge gadget from u to v without its record; returns a
-        (b, c, d follow it).
+    def add_directed_edge_gadget(self, u: int, v: int) -> int:
+        """One-way relay from u to v: 4 fresh vertices, 6 fresh edges.
+        Returns a, the vertex joined to u; b, c and d are a+1..a+3, and c
+        is joined to v.
 
         Both endpoints are checked before anything changes.  The six edges
         then go in unchecked, each as (smaller, larger): each touches one of
@@ -160,16 +140,11 @@ class InstanceBuilder:
         self._edges += ((a, b), (b, c), (c, d), (a, d), (u, a), (v, c))
         return a
 
-    def add_directed_edge_gadget(self, u: int, v: int) -> DirectedEdgeGadget:
-        """One-way relay from u to v: 4 fresh vertices, 6 fresh edges."""
-        a = self._relay(u, v)
-        return DirectedEdgeGadget(self._next_gadget - 1, u, v, a, a + 1, a + 2, a + 3)
-
-    def add_activation_gadget(
-        self, v: int, inputs: Sequence[int], t: int
-    ) -> ActivationGadget:
+    def add_activation_gadget(self, v: int, inputs: Sequence[int], t: int) -> None:
         """Counter grid releasing v once t of the given inputs are active.
 
+        Cell w{v}.{i}.{j} activates exactly when at least j of the first i
+        inputs are active; cell wt{v}.{i}.{j} (threshold 2) is its AND step.
         Only used for thresholds above 2: requires 3 <= t <= len(inputs).
         Sets thr(v) = 1; the final directed edge gadget from the (d, t)
         cell is the only thing that can reach it.  v and every input are
@@ -181,30 +156,23 @@ class InstanceBuilder:
         self._check_vertex(v, "activation gadget owner")
         for u in inputs:
             self._check_vertex(u, "activation gadget input")
+        relay = self.add_directed_edge_gadget
         w: dict[tuple[int, int], int] = {}
-        wt: dict[tuple[int, int], int] = {}
-        parts: list[DirectedEdgeGadget] = []
-
-        def dg(src: int, dst: int) -> None:
-            parts.append(self.add_directed_edge_gadget(src, dst))
-
-        w[1, 1] = self.add_vertex(1, f"w{v}.1.1", origin=v)
-        dg(inputs[0], w[1, 1])
-        for i in range(2, d + 1):
+        for i in range(1, d + 1):
             w[i, 1] = self.add_vertex(1, f"w{v}.{i}.1", origin=v)
-            dg(inputs[i - 1], w[i, 1])
-            dg(w[i - 1, 1], w[i, 1])
+            relay(inputs[i - 1], w[i, 1])
+            if i > 1:
+                relay(w[i - 1, 1], w[i, 1])
             for j in range(2, i + 1):
-                wt[i, j] = self.add_vertex(2, f"wt{v}.{i}.{j}", origin=v)
-                dg(inputs[i - 1], wt[i, j])
-                dg(w[i - 1, j - 1], wt[i, j])
+                wt = self.add_vertex(2, f"wt{v}.{i}.{j}", origin=v)
+                relay(inputs[i - 1], wt)
+                relay(w[i - 1, j - 1], wt)
                 w[i, j] = self.add_vertex(1, f"w{v}.{i}.{j}", origin=v)
-                dg(wt[i, j], w[i, j])
+                relay(wt, w[i, j])
                 if j < i:
-                    dg(w[i - 1, j], w[i, j])
-        dg(w[d, t], v)
+                    relay(w[i - 1, j], w[i, j])
+        relay(w[d, t], v)
         self.set_threshold(v, 1)
-        return ActivationGadget(v, tuple(inputs), t, w, wt, tuple(parts))
 
     def build(self, kind: str, **fields: object) -> ReducedInstance:
         """The instance built so far; `fields` fill the optional
@@ -242,7 +210,7 @@ def reduce_thresholds_to_two(inst: Instance) -> ReducedInstance:
         deg = inst.graph.degree(v)
         if t <= 2:
             for u in inst.graph.neighbors(v):
-                b._relay(u, v)
+                b.add_directed_edge_gadget(u, v)
         elif t <= deg:
             b.add_activation_gadget(v, inst.graph.neighbors(v), t)
         else:

@@ -285,22 +285,3 @@ def write_instance(inst: Instance) -> str:
         out.append(f"e {u} {v}")
     return "\n".join(out) + "\n"
 
-
-def incidence_graph(g: Graph) -> tuple[Graph, dict[int, str]]:
-    """Bipartite vertex/edge incidence graph.
-
-    Vertices 1..n keep their ids; edge i of the canonical edge order becomes
-    vertex n+i, adjacent to its two endpoints.  The mapping tags each new
-    vertex `v<i>` or `e<u>-<v>`.
-    """
-    n = g.n
-    edges = []
-    names: dict[int, str] = {}
-    for v in range(1, n + 1):
-        names[v] = f"v{v}"
-    for i, (u, v) in enumerate(g.edges, start=1):
-        ev = n + i
-        names[ev] = f"e{u}-{v}"
-        edges.append((u, ev))
-        edges.append((v, ev))
-    return Graph(n + g.m, edges), names

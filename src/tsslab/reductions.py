@@ -175,12 +175,12 @@ def mcs_to_tss(c: MonotoneCircuit) -> ReducedInstance:
                     if c.kinds[src] == "input"
                     else gate_vertex[src, copy]
                 )
-                b._relay(tail, gate_vertex[node, copy])
+                b.add_directed_edge_gadget(tail, gate_vertex[node, copy])
 
     if c.kinds[c.output] != "input":
         for copy in range(1, copies + 1):
             for node in c.inputs:
-                b._relay(gate_vertex[c.output, copy], input_vertex[node])
+                b.add_directed_edge_gadget(gate_vertex[c.output, copy], input_vertex[node])
     return b.build("circuit-tss", source_circuit=c)
 
 
@@ -257,11 +257,11 @@ def clique_to_max_influence(g: Graph, k: int, *, h: int = 1) -> ReducedInstance:
             z[layer, j] = b.add_vertex(c2, f"z{layer}.{j}")
     for ev in edge_vertex:
         for j in range(1, c2 + 1):
-            b._relay(ev, z[1, j])
+            b.add_directed_edge_gadget(ev, z[1, j])
     for layer in range(1, h):
         for j in range(1, c2 + 1):
             for t in range(1, c2 + 1):
-                b._relay(z[layer, j], z[layer + 1, t])
+                b.add_directed_edge_gadget(z[layer, j], z[layer + 1, t])
     return b.build("clique-max-influence", source_graph=g, k=k, params=params)
 
 

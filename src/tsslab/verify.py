@@ -285,12 +285,16 @@ def random_circuit(rng: random.Random, max_inputs: int = 3, max_gates: int = 3) 
 
 
 def enumerate_small_circuits(max_inputs: int = 3, max_gates: int = 3) -> list[MonotoneCircuit]:
-    """Every monotone circuit up to the given size, one per isomorphism class.
+    """Every monotone circuit up to the given size, each isomorphism class
+    at least once.
 
     Gates are laid out in topological order after the inputs; structures
-    whose sink is not unique are discarded, and the survivors are
-    deduplicated under kind-preserving vertex bijections.  The first
-    circuit met in each class represents it.
+    whose sink is not unique are discarded.  The survivors are deduplicated
+    under relabellings that permute each kind's own positions, so an
+    or-gate at position 4 never maps to one at position 5.  That key is
+    finer than isomorphism: a class can appear more than once ((3,3)
+    gives 981 circuits for 921 classes), but none is missed.  The first
+    circuit met under each key represents it.
     """
     out: list[MonotoneCircuit] = []
     seen: set[tuple] = set()
@@ -316,7 +320,8 @@ def enumerate_small_circuits(max_inputs: int = 3, max_gates: int = 3) -> list[Mo
 
 
 def _canonical(kinds: list[str], preds: list[tuple[int, ...]]) -> tuple:
-    """Least relabelled node list over all kind-preserving bijections.
+    """Least relabelled node list over all permutations of each kind's
+    own positions.
 
     The output needs no place in the key: it is the node list's unique sink.
     """

@@ -189,6 +189,26 @@ def test_reduce_thresholds_to_two(tmp_path):
     assert "vertices 10" in (out / "params.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "name, flag, value",
+    [
+        (name, flag, value)
+        for name in ("mcs", "thresholds-to-two", "is-decision")
+        for flag, value in (("--h", "5"), ("--rho", "const:9"), ("-k", "4"))
+        if not (name == "is-decision" and flag == "-k")
+    ],
+)
+def test_reduce_unread_flag_exits_2(tmp_path, name, flag, value, capsys):
+    src = tmp_path / "src"
+    src.write_text(CIRCUIT if name == "mcs" else TWO_PATH)
+    out = tmp_path / "out"
+    k = ["-k", "1"] if name == "is-decision" else []
+    assert main(["reduce", name, "-i", str(src), *k, flag, value, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: the {name} reduction does not take {flag}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_verify_gadget_direction(capsys):
     assert main(["verify", "gadget-direction", "--chains", "3"]) == 0
 
@@ -356,16 +376,15 @@ def test_parse_error_exits_2(tmp_path, capsys):
 
 # The public names are part of the contract next to the CLI text.
 PUBLIC_NAMES = [
-    "ActivationGadget", "DirectedEdgeGadget", "GapParameters", "GeneratorConfig",
-    "Graph", "Instance", "InstanceBuilder", "MonotoneCircuit", "ParseError",
-    "PropagationTrace", "Propagator", "ReducedInstance", "SolveResult", "activate",
-    "activate_round", "build_circuit", "choose_gap_padding", "clique_to_max_influence",
-    "evaluate", "generate_random", "greedy_target_set", "incidence_graph", "influence",
-    "is_target_set", "is_to_influence_decision", "is_to_min_closed_influence",
-    "k_influence", "map_target_set_to_assignment", "mcs_to_tss",
-    "min_open_influence_unanimity", "min_weight_satisfying", "optimal_target_set",
-    "parse_circuit", "parse_instance", "reduce_thresholds_to_two", "rho_preset",
-    "unanimity_target_set_2approx", "write_circuit", "write_instance",
+    "GapParameters", "GeneratorConfig", "Graph", "Instance", "InstanceBuilder",
+    "MonotoneCircuit", "ParseError", "PropagationTrace", "Propagator",
+    "ReducedInstance", "SolveResult", "activate", "activate_round", "build_circuit",
+    "choose_gap_padding", "clique_to_max_influence", "evaluate", "generate_random",
+    "greedy_target_set", "influence", "is_target_set", "is_to_influence_decision",
+    "is_to_min_closed_influence", "k_influence", "map_target_set_to_assignment",
+    "mcs_to_tss", "min_open_influence_unanimity", "min_weight_satisfying",
+    "optimal_target_set", "parse_circuit", "parse_instance", "reduce_thresholds_to_two",
+    "rho_preset", "unanimity_target_set_2approx", "write_circuit", "write_instance",
 ]
 
 

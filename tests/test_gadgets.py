@@ -32,12 +32,13 @@ def two_vertices():
 def test_directed_gadget_counts():
     b, u, v = two_vertices()
     before_n, before_m = b.vertex_count, 0
-    gd = b.add_directed_edge_gadget(u, v)
+    a = b.add_directed_edge_gadget(u, v)
     inst = b.build("chain").instance
-    assert inst.n - before_n == 4
+    assert inst.n - before_n == 4 and a == before_n + 1
     assert inst.m == 6
-    assert inst.thr[gd.a] == 1 and inst.thr[gd.b] == 1 and inst.thr[gd.d] == 1
-    assert inst.thr[gd.c] == 2
+    assert inst.thr[a] == 1 and inst.thr[a + 1] == 1 and inst.thr[a + 3] == 1
+    assert inst.thr[a + 2] == 2
+    assert inst.graph.neighbors(u) == (a,) and inst.graph.neighbors(v) == (a + 2,)
 
 
 def test_directed_gadget_one_way():
@@ -73,30 +74,46 @@ def build_activation_harness(d, t):
     b = InstanceBuilder()
     inputs = [b.add_vertex(d + 1, f"v{i}") for i in range(1, d + 1)]
     target = b.add_vertex(d + 1, f"v{d + 1}")
-    gadget = b.add_activation_gadget(target, inputs, t)
-    return b.build("harness").instance, inputs, target, gadget
+    b.add_activation_gadget(target, inputs, t)
+    return b.build("harness"), inputs, target
+
+
+def grid_cells(r, kind, owner):
+    """The activation gadget's cells tagged `<kind><owner>.<i>.<j>`, by (i, j)."""
+    cells = {}
+    for v in r.tagged(f"{kind}{owner}."):
+        i, j = r.provenance[v][len(f"{kind}{owner}."):].split(".")
+        cells[int(i), int(j)] = v
+    return cells
 
 
 def test_activation_gadget_cell_counts():
-    inst, inputs, target, gadget = build_activation_harness(4, 3)
-    assert len(gadget.w) == 10
-    assert len(gadget.wt) == 6
-    assert inst.thr[target] == 1
+    r, inputs, target = build_activation_harness(4, 3)
+    w, wt = grid_cells(r, "w", target), grid_cells(r, "wt", target)
+    assert sorted(w) == [(i, j) for i in range(1, 5) for j in range(1, i + 1)]
+    assert sorted(wt) == [(i, j) for i in range(2, 5) for j in range(2, i + 1)]
+    assert len(w) == 10
+    assert len(wt) == 6
+    assert all(r.instance.thr[c] == 1 for c in w.values())
+    assert all(r.instance.thr[c] == 2 for c in wt.values())
+    assert r.instance.thr[target] == 1
 
 
 def test_activation_gadget_cell_semantics():
-    inst, inputs, target, gadget = build_activation_harness(4, 3)
+    r, inputs, target = build_activation_harness(4, 3)
+    inst = r.instance
     for bits in range(16):
         seed = [inputs[i] for i in range(4) if bits >> i & 1]
         final = naive_closure(inst, seed)
-        for (i, j), cell in gadget.w.items():
+        for (i, j), cell in grid_cells(r, "w", target).items():
             active_prefix = sum(1 for x in range(i) if bits >> x & 1)
             assert (cell in final) == (active_prefix >= j), (bits, i, j)
         assert (target in final) == (bin(bits).count("1") >= 3)
 
 
 def test_activation_gadget_below_threshold_never_fires():
-    inst, inputs, target, _ = build_activation_harness(4, 3)
+    r, inputs, target = build_activation_harness(4, 3)
+    inst = r.instance
     for pair in combinations(inputs, 2):
         assert target not in naive_closure(inst, pair)
 
@@ -225,20 +242,30 @@ def test_gadget_calls_are_all_or_nothing():
         assert _layout(b.build("six")) == before
 
 
-def _gadget_edges(gd):
-    a, b, c, d = gd.a, gd.b, gd.c, gd.d
-    return [(a, b), (b, c), (c, d), (d, a), (gd.source, a), (c, gd.target)]
+def record_gadget_edges(b, edges):
+    """Wrap `b.add_directed_edge_gadget` so every relay it builds, also
+    inside an activation gadget, appends its six edges to `edges`."""
+    relay = b.add_directed_edge_gadget
+
+    def spy(u, v):
+        a = relay(u, v)
+        c = a + 2
+        edges.extend([(a, a + 1), (a + 1, c), (c, a + 3), (a + 3, a), (u, a), (c, v)])
+        return a
+
+    b.add_directed_edge_gadget = spy
 
 
 def test_bulk_build_matches_validating_graph():
     """build()'s unchecked Graph equals Graph(n, edges) on the edges each
-    builder call reports, and its unchecked Instance equals the checked
+    builder call makes, and its unchecked Instance equals the checked
     Instance(...) on its thresholds, across mixed builds using every
     builder method."""
     rng = random.Random(31)
     for _ in range(120):
         b = InstanceBuilder()
         edges: list[tuple[int, int]] = []
+        record_gadget_edges(b, edges)
         for i in range(rng.randint(2, 6)):
             b.add_vertex(rng.randint(1, 3), f"v{i}")
         for _ in range(rng.randint(0, 12)):
@@ -261,12 +288,10 @@ def test_bulk_build_matches_validating_graph():
                 b.set_threshold(rng.randint(1, n), rng.randint(1, 4))
             elif op < 0.85:
                 u, v = rng.sample(range(1, n + 1), 2)
-                edges += _gadget_edges(b.add_directed_edge_gadget(u, v))
+                b.add_directed_edge_gadget(u, v)
             elif n >= 4:
                 v, *inputs = rng.sample(range(1, n + 1), rng.randint(4, min(n, 6)))
-                gadget = b.add_activation_gadget(v, inputs, rng.randint(3, len(inputs)))
-                for gd in gadget.gadgets:
-                    edges += _gadget_edges(gd)
+                b.add_activation_gadget(v, inputs, rng.randint(3, len(inputs)))
         inst = b.build("mixed").instance
         got = inst.graph
         ref = Graph(b.vertex_count, edges)

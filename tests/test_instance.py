@@ -9,7 +9,6 @@ from tsslab.instance import (
     Instance,
     ParseError,
     generate_random,
-    incidence_graph,
     parse_instance,
     write_instance,
 )
@@ -133,38 +132,6 @@ def test_adjacency_symmetric_and_simple():
             for w in g.adj[v]:
                 assert v in g.adj[w]
         assert sum(g.degree(v) for v in range(1, g.n + 1)) == 2 * g.m
-
-
-def test_incidence_triangle():
-    g = Graph(3, [(1, 2), (1, 3), (2, 3)])
-    inc, names = incidence_graph(g)
-    assert inc.n == 6 and inc.m == 6
-    assert all(inc.degree(v) == 2 for v in range(1, 7))
-    assert names[4] == "e1-2" and names[1] == "v1"
-
-
-def test_incidence_edgeless():
-    inc, names = incidence_graph(Graph(4))
-    assert inc.n == 4 and inc.m == 0
-    assert names == {1: "v1", 2: "v2", 3: "v3", 4: "v4"}
-
-
-def test_incidence_four_cycle():
-    inc, _ = incidence_graph(Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]))
-    assert inc.n == 8 and inc.m == 8
-    assert all(inc.degree(v) == 2 for v in range(5, 9))
-
-
-def test_incidence_bipartite_by_provenance():
-    rng = random.Random(11)
-    for _ in range(25):
-        n = rng.randint(1, 10)
-        edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.4]
-        g = Graph(n, edges)
-        inc, names = incidence_graph(g)
-        assert inc.m == 2 * g.m
-        for u, v in inc.edges:
-            assert {names[u][0], names[v][0]} == {"v", "e"}
 
 
 def test_adjacency_lists_sorted():

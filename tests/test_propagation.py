@@ -48,14 +48,14 @@ def test_activate_round_directed_gadget_steps():
     b = InstanceBuilder()
     u = b.add_vertex(1, "v1")
     v = b.add_vertex(1, "v2")
-    gd = b.add_directed_edge_gadget(u, v)
+    a = b.add_directed_edge_gadget(u, v)
     inst = b.build("chain").instance
     s1 = activate_round(inst, {u})
-    assert s1 == {u, gd.a}
+    assert s1 == {u, a}
     s2 = activate_round(inst, s1)
-    assert s2 == {u, gd.a, gd.b, gd.d}
+    assert s2 == {u, a, a + 1, a + 3}
     s3 = activate_round(inst, s2)
-    assert s3 == {u, gd.a, gd.b, gd.d, gd.c}
+    assert s3 == {u, a, a + 1, a + 3, a + 2}
 
 
 def test_activate_empty_seed():
