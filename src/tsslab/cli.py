@@ -184,7 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("-k", type=int, default=None)
     red.add_argument("--h", type=int, default=None, dest="h", help="gap padding (default 1)")
     red.add_argument("--rho", default=None, help="const:<c>, linear:<c>, poly:<c>,<d>")
-    red.add_argument("--mode", choices=("open", "closed"), default="closed")
+    red.add_argument(
+        "--mode", choices=("open", "closed"), help="is-decision only (default closed)"
+    )
 
     ver = sub.add_parser("verify", help="run a property suite")
     ver.add_argument("suite", choices=sorted(verify.SUITES))
@@ -250,10 +252,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    # The gap reductions read -k, --h and --rho; the others at most -k.
-    takes = {"mcs": (), "thresholds-to-two": (), "is-decision": ("-k",)}
-    for flag, value in (("-k", args.k), ("--h", args.h), ("--rho", args.rho)):
-        if value is not None and flag not in takes.get(args.name, (flag,)):
+    # The gap reductions read -k, --h and --rho; is-decision reads -k and
+    # --mode; the others none of these.
+    takes = {"mcs": (), "thresholds-to-two": (), "is-decision": ("-k", "--mode")}
+    given = (("-k", args.k), ("--h", args.h), ("--rho", args.rho), ("--mode", args.mode))
+    for flag, value in given:
+        if value is not None and flag not in takes.get(args.name, ("-k", "--h", "--rho")):
             raise ParseError(f"the {args.name} reduction does not take {flag}")
     if args.name == "mcs":
         r = mcs_to_tss(parse_circuit(_read(args.input)))
@@ -264,7 +268,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             raise ParseError(f"the {args.name} reduction needs -k")
         g = parse_instance(_read(args.input)).graph
         if args.name == "is-decision":
-            r = is_to_influence_decision(g, args.k, args.mode)
+            r = is_to_influence_decision(g, args.k, args.mode or "closed")
         else:
             build, variant = _GAP_REDUCTIONS[args.name]
             if args.rho is None:

@@ -9,9 +9,8 @@ Every one-shot run (`activate`, `activate_round`, `is_target_set`,
 `influence`) goes through one countdown kernel, `_rounds`.
 The `Propagator` journal serves only the internal levels of the exhaustive
 scans, which push and pop seeds around a shared prefix; a scan's leaves,
-its singleton-closure table, the target-set kernel and the greedy
-heuristic's candidates ask `Propagator.gain`, which leaves the journal
-alone.
+the target-set kernel and the greedy heuristic's candidates ask
+`Propagator.gain`, which leaves the journal alone.
 """
 
 from __future__ import annotations
@@ -62,8 +61,7 @@ class Propagator:
     undo journal, which the internal levels of exhaustive seed-set scans use
     to share the propagation work of common prefixes.  `gain` answers what
     one more seed would activate without a journal entry, which is how scan
-    leaves, singleton-closure tables, the target-set kernel and greedy
-    candidates are evaluated.
+    leaves, the target-set kernel and greedy candidates are evaluated.
     Not thread-safe: use one Propagator per thread.
     """
 

@@ -26,20 +26,41 @@ skipped.  Such a subtree is counted at its full size, so `explored` stays
 the lexicographic rank of the seed where the scan stopped, or the full
 count when it does not stop.
 
-Minimum-influence scans, where that inequality points the wrong way,
-prune by a monotone bound instead: a prefix's closure only grows as seeds
+Those scans also bound a subtree by its suffix, at every node with at
+least two seeds still to choose.  Every seed under the child at universe
+index i is P + R with R drawn from universe[i:], so by monotonicity its
+closure is at most |cl(P + universe[i:])|.  Let limit = min(best,
+stop - 1) + offset, with the running best and the stop value as values
+and offset the seed size in open mode (0 in closed mode).  A child whose
+suffix closure is at most limit holds no seed strictly better than the
+incumbent, so none replaces it, and none that reaches the stop value, so
+none ends the scan.  Suffix closures shrink as i grows, so the children
+from some index `cut` on are exactly the bounded ones; the node finds
+`cut` by pushing universe[u-1], universe[u-2], ... until the closure
+exceeds limit, then pops back.  Those children are skipped and counted at
+their full size, comb(u - cut, need), so `explored` is unchanged.
+Without the stop clamp, a seed that only ties the incumbent at the stop
+value (open mode) would be skipped instead of ending the scan.  Dominance
+stays sound: a seed the bound skips is worth no more than the incumbent
+and less than the stop value, which is all the dominance argument asks of
+the seeds in a searched subtree.  The last level does not sweep: there
+the pushes cost as much as the `gain` calls they save.
+
+Minimum-influence scans, where the dominance inequality points the wrong
+way, prune by a monotone bound instead: a prefix's closure only grows as seeds
 are added, so a subtree whose prefix already closes to at least the
 incumbent value (less the seed size in open mode) holds no strictly better
 seed and is skipped.  A candidate is also skipped, with its whole subtree
 and without being pushed, when its singleton closure already reaches the
 incumbent: every seed holding v closes to a superset of cl({v}), so its
 value is at least |cl({v})| (less the seed size in open mode).  That floor
-table costs one `gain` call per universe vertex, computed once per call for
-cardinalities c >= 2 (at c = 1 the leaf evaluation is the singleton closure
-itself).  There `explored` counts the seed sets evaluated in one
-lexicographic pass with a running incumbent, so it excludes pruned and
-floor-skipped subtrees.  `greedy_target_set` rates its candidates with
-`gain` too.
+table (`_singleton_closures`) costs one cascade per universe vertex,
+computed once per call for cardinalities c >= 2 (at c = 1 the leaf
+evaluation is the singleton closure itself); a cascade stops at the first
+vertex whose own closure is already known to be every vertex.  There
+`explored` counts the seed sets evaluated in one lexicographic pass with a
+running incumbent, so it excludes pruned and floor-skipped subtrees.
+`greedy_target_set` rates its candidates with `gain` too.
 
 `optimal_target_set` proves its lower bound on a kernel.  A vertex b is
 dominated when some other vertex a has b in cl({a}) and either a not in
@@ -114,11 +135,14 @@ def _search(
     every skipped subtree counted at its full size; for min it counts the
     seeds evaluated.
 
-    A max-goal search skips dominated subtrees (see the module docstring).
-    A min-goal search skips every prefix whose closure already reaches the
-    running best, since adding seeds never shrinks a closure.  From the
-    first c >= 2 on, it also skips, unevaluated, every candidate v whose
-    singleton closure |cl({v})| already reaches the running best.
+    A max-goal search skips dominated subtrees and, at nodes with at least
+    two seeds still needed, every child i whose suffix closure
+    |cl(prefix + universe[i:])| is at most min(best, stop - 1) plus the
+    offset (see the module docstring).  A min-goal search skips every
+    prefix whose closure already reaches the running best, since adding
+    seeds never shrinks a closure.  From the first c >= 2 on, it also
+    skips, unevaluated, every candidate v whose singleton closure |cl({v})|
+    already reaches the running best.
 
     Internal levels push each candidate on the journal and pop it after its
     subtree.  The last level (one seed still needed) evaluates a candidate
@@ -184,7 +208,20 @@ def _search(
             return False
         if need == 1:
             return leaves(lo, hi, node, dom)
-        for i in range(lo, hi):
+        cut = hi
+        if maximize and best_v is not None:
+            # Suffix-closure bound (module docstring): no seed under a child
+            # from `cut` on closes to more than `limit`.
+            limit = min(best_v, stop_value - 1) + offset
+            if prop.active_count() <= limit:
+                token = prop.push_one(universe[u - 1])
+                j = u - 1
+                while j > lo and prop.active_count() <= limit:
+                    j -= 1
+                    prop.push_one(universe[j])
+                cut = j + 1 if prop.active_count() > limit else lo
+                prop.pop_to(token)
+        for i in range(lo, min(hi, cut)):
             v = universe[i]
             if maximize:
                 if dom[v] == node:
@@ -204,6 +241,7 @@ def _search(
             prop.pop_to(token)
             if halt:
                 return True
+        explored += comb(u - cut, need)  # 0 when nothing was cut
         return False
 
     for c in sizes:
@@ -228,11 +266,47 @@ def _search(
 
 
 def _singleton_closures(inst: Instance, universe: Sequence[int]) -> list[int]:
-    """floor[v] = |cl({v})| for each universe vertex v (0 elsewhere)."""
-    prop = Propagator(inst)
-    floor = [0] * (inst.n + 1)
+    """floor[v] = |cl({v})| for each universe vertex v (0 elsewhere).
+
+    The universe is walked in order, one cascade per vertex, and a cascade
+    stops at the first vertex a it activates whose own entry is already
+    known to be n: cl({v}) contains a, hence cl({a}), which is every
+    vertex, so floor[v] = n too, and v is then known full in turn.  Only
+    vertices whose own closure is full are ever known full, never the
+    vertices their cascades passed through, so the table is exactly the
+    singleton closures.
+
+    Each cascade counts down left[w], the active neighbours w still lacks,
+    as `propagation._rounds` does: a vertex fires when its entry reaches 0,
+    and later bumps drive it negative.  mark[w] == v says left[w] belongs
+    to v's cascade, so no entry is ever reset.
+    """
+    n = inst.n
+    adj = inst.graph.adj
+    thr = inst.thr
+    floor = [0] * (n + 1)
+    mark = [0] * (n + 1)
+    left = [0] * (n + 1)
     for v in universe:
-        floor[v] = len(prop.gain(v))
+        mark[v] = v
+        left[v] = 0
+        size = 1
+        stack = [v]
+        while stack:
+            for w in adj[stack.pop()]:
+                if mark[w] != v:
+                    mark[w] = v
+                    left[w] = thr[w]
+                c = left[w] - 1
+                left[w] = c
+                if not c:
+                    if floor[w] == n:
+                        size = n
+                        stack.clear()
+                        break
+                    size += 1
+                    stack.append(w)
+        floor[v] = size
     return floor
 
 
@@ -358,14 +432,18 @@ def k_influence(
 
     Maximization skips dominated subtrees: a candidate that an earlier
     sibling activates, where that sibling's subtree never reached the stop
-    value, cannot lead to a seed worth more.  `explored` is then the
+    value, cannot lead to a seed worth more.  It also skips a candidate
+    when the prefix, the candidate and every later universe vertex together
+    close to no more than the best value so far, nor reach the stop value:
+    every seed in that subtree closes to a subset.  `explored` is then the
     lexicographic rank of the seed where the scan stopped (the full count
     if none), with skipped subtrees counted at full size.  Minimization
     scans each cardinality in one lexicographic pass with a running
     incumbent.  It prunes a prefix by the monotone closure bound, and, for
     c >= 2, skips a candidate v unpushed when |cl({v})| (less c in open
     mode) already reaches the best value, since every seed holding v
-    closes to at least cl({v}).  `explored` counts the seed sets evaluated,
+    closes to at least cl({v}); a singleton cascade stops at a vertex
+    already known to close to everything.  `explored` counts the seed sets evaluated,
     so it excludes both kinds of skipped subtree.  Either way (see the
     module docstring) values and witnesses are those of the full
     enumeration.

@@ -196,17 +196,33 @@ def test_reduce_thresholds_to_two(tmp_path):
         for name in ("mcs", "thresholds-to-two", "is-decision")
         for flag, value in (("--h", "5"), ("--rho", "const:9"), ("-k", "4"))
         if not (name == "is-decision" and flag == "-k")
+    ]
+    + [
+        (name, "--mode", "open")
+        for name in ("mcs", "thresholds-to-two", "clique", "is-min-closed")
     ],
 )
 def test_reduce_unread_flag_exits_2(tmp_path, name, flag, value, capsys):
     src = tmp_path / "src"
     src.write_text(CIRCUIT if name == "mcs" else TWO_PATH)
     out = tmp_path / "out"
-    k = ["-k", "1"] if name == "is-decision" else []
+    k = ["-k", "1"] if name in ("is-decision", "clique", "is-min-closed") else []
     assert main(["reduce", name, "-i", str(src), *k, flag, value, "-o", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: the {name} reduction does not take {flag}\n"
     assert captured.out == "" and not out.exists()
+
+
+def test_reduce_is_decision_mode_defaults_to_closed(tmp_path):
+    g = tmp_path / "g.tss"
+    g.write_text(TWO_PATH)
+    built = {}
+    for mode in (None, "closed", "open"):
+        out = tmp_path / str(mode)
+        flag = [] if mode is None else ["--mode", mode]
+        assert main(["reduce", "is-decision", "-i", str(g), "-k", "1", *flag, "-o", str(out)]) == 0
+        built[mode] = [(out / f).read_text() for f in ("instance.tss", "params.txt")]
+    assert built[None] == built["closed"] != built["open"]
 
 
 def test_verify_gadget_direction(capsys):

@@ -5,9 +5,11 @@ from math import comb
 import pytest
 
 from tsslab.instance import THRESHOLD_MODES, GeneratorConfig, Graph, Instance, generate_random
+from tsslab.propagation import Propagator
 from tsslab.reductions import is_to_influence_decision, is_to_min_closed_influence, mcs_to_tss
 from tsslab.solvers import (
     _search,
+    _singleton_closures,
     _undominated,
     greedy_target_set,
     k_influence,
@@ -475,7 +477,80 @@ def test_kernel_target_scan_on_compiled_circuits():
     assert optima == {1, 2, 3}
 
 
+# suffix-closure bound on max scans ------------------------------------------
+
+
+def test_suffix_bound_keeps_the_open_mode_tie_stop():
+    # Path 1-2 plus isolated vertex 3, open max with k = 2.  At size 2 the
+    # seed {1, 3} reaches the stop value 1, which only ties the incumbent
+    # {1}: the scan stops there (rank 6) and keeps {1}.  A bound that let
+    # ties through would skip that subtree and count on to 7.
+    inst = Instance(Graph(3, [(1, 2)]), [1, 1, 1])
+    res = k_influence(inst, 2, "open", "max")
+    assert (res.value, res.seed, res.explored) == (1, frozenset({1}), 6)
+    check_max_scan(inst, 2, "open", None)
+
+
+def test_suffix_bound_scans_match_lexicographic_scan():
+    # Isolated and thr > deg vertices, which only a seed holding them
+    # activates, so most scans never reach n and run to the full count.
+    rng = random.Random(79)
+    for _ in range(150):
+        inst = kernel_case(rng)
+        universe = None
+        if rng.random() < 0.5:
+            universe = rng.sample(range(1, inst.n + 1), rng.randint(1, inst.n))
+        k = rng.randint(0, min(4, inst.n if universe is None else len(universe)))
+        for mode in ("closed", "open"):
+            check_max_scan(inst, k, mode, universe)
+
+
+def test_suffix_bound_saves_leaf_evaluations(monkeypatch):
+    # The isolated vertex 30 keeps every seed below n, so the scan rules on
+    # all comb(30, 4) seeds of size 4; dominance alone still asks `gain` for
+    # more leaves than that (28,888), the suffix bound for fewer (25,214).
+    base = generate_random(GeneratorConfig(29, 0.2, "majority", 1))
+    inst = Instance(Graph(30, base.graph.edges), [*base.thr[1:], 1])
+    calls = 0
+    gain = Propagator.gain
+
+    def spy(self, v):
+        nonlocal calls
+        calls += 1
+        return gain(self, v)
+
+    monkeypatch.setattr(Propagator, "gain", spy)
+    res = k_influence(inst, 4, "closed", "max")
+    assert res.explored == sum(comb(30, c) for c in range(5))
+    assert calls < comb(30, 4)
+
+
 # singleton-closure floor against brute force ---------------------------------
+
+
+def test_singleton_closures_match_naive_closure():
+    # Random instances with isolated and thr > deg vertices, and min-closed
+    # compilations, where nearly every edge-side vertex closes to all n and
+    # the table stops cascades at vertices already known full.
+    rng = random.Random(83)
+    full_stops = 0
+    for trial in range(300):
+        if trial % 2:
+            inst = kernel_case(rng)
+        else:
+            g = random_graph_min_degree_one(rng, 2, 7)
+            k = rng.randint(1, min(4, g.n))
+            inst = is_to_min_closed_influence(g, k, h=rng.randint(1, 3)).instance
+        universe = list(range(1, inst.n + 1))
+        if rng.random() < 0.4:
+            universe = rng.sample(universe, rng.randint(1, inst.n))
+        floor = _singleton_closures(inst, universe)
+        want = [0] * (inst.n + 1)
+        for v in universe:
+            want[v] = len(naive_closure(inst, [v]))
+        assert floor == want, (inst.graph.edges, inst.thr, universe)
+        full_stops += want.count(inst.n) > 1
+    assert full_stops
 
 
 def floor_case(rng):
