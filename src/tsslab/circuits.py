@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .instance import ParseError, _rows
+from .instance import ParseError, _rows, _strict_int
 
 BRUTE_FORCE_INPUT_BOUND = 20
 
@@ -116,7 +116,7 @@ def parse_circuit(text: str) -> MonotoneCircuit:
     if len(parts) != 2 or parts[0] != "circuit":
         raise ParseError(f"line {lineno}: malformed header, expected 'circuit <n>'")
     try:
-        n = int(parts[1])
+        n = _strict_int(parts[1])
     except ValueError:
         raise ParseError(f"line {lineno}: malformed header, expected 'circuit <n>'")
     if n < 1:
@@ -131,14 +131,14 @@ def parse_circuit(text: str) -> MonotoneCircuit:
     for lineno, parts in rows[1 : 1 + n]:
         if parts[0] == "input" and len(parts) == 2:
             try:
-                i = int(parts[1])
+                i = _strict_int(parts[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad node id")
             kind, ps = "input", ()
         elif parts[0] == "gate" and len(parts) >= 3:
             try:
-                i = int(parts[1])
-                ps = tuple(int(x) for x in parts[3:])
+                i = _strict_int(parts[1])
+                ps = tuple(map(_strict_int, parts[3:]))
             except ValueError:
                 raise ParseError(f"line {lineno}: bad node id")
             kind = parts[2]
@@ -160,7 +160,7 @@ def parse_circuit(text: str) -> MonotoneCircuit:
     if len(parts) != 2 or parts[0] != "output":
         raise ParseError(f"line {lineno}: expected 'output <id>'")
     try:
-        out = int(parts[1])
+        out = _strict_int(parts[1])
     except ValueError:
         raise ParseError(f"line {lineno}: expected 'output <id>'")
     if not 1 <= out <= n:

@@ -18,6 +18,7 @@ from .instance import (
     THRESHOLD_MODES,
     GeneratorConfig,
     ParseError,
+    _strict_int,
     generate_random,
     parse_instance,
     write_instance,
@@ -136,7 +137,7 @@ def _parse_seeds(raw: str) -> list[int]:
     if not raw.strip():
         return []
     try:
-        return [int(tok) for tok in raw.split(",")]
+        return [_strict_int(tok.strip()) for tok in raw.split(",")]
     except ValueError:
         raise ParseError(f"bad seed list {raw!r}; expected comma-separated integers")
 
@@ -202,8 +203,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if not 0 <= args.p <= 1:
         raise ParseError(f"-p must lie in [0, 1], got {args.p}")
     mode, sep, value = args.thresholds.partition(":")
-    good_value = not sep or (mode == "constant" and value.isdecimal() and int(value) >= 1)
-    if mode not in THRESHOLD_MODES or not good_value:
+    try:
+        constant = _strict_int(value) if sep else 1
+    except ValueError:
+        constant = 0  # rejected below with the other bad values
+    if mode not in THRESHOLD_MODES or (sep and mode != "constant") or constant < 1:
         raise ParseError(
             f"--thresholds {args.thresholds!r}: expected constant, constant:<c> with "
             "c >= 1, majority, unanimity or uniform"
@@ -213,7 +217,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         edge_probability=args.p,
         threshold_mode=mode,
         rng_seed=args.seed,
-        constant=int(value) if sep else 1,
+        constant=constant,
     )
     _emit(write_instance(generate_random(cfg)), args.output)
     return 0

@@ -7,7 +7,9 @@ its degree is legal; it can only ever become active by being seeded.
 
 from __future__ import annotations
 
+import math
 import random
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -168,10 +170,56 @@ class GeneratorConfig:
             raise ValueError("constant threshold must be at least 1")
 
 
+# Rows with fewer pairs than this draw one rng.random() per pair: below it
+# the block set-up costs more than the per-pair calls it saves.
+_BLOCK_MIN_PAIRS = 64
+# At or above this edge probability every row does so: a block row pays
+# Python work per edge, which costs more than per-pair calls on dense rows.
+_BLOCK_BELOW_P = 1 / 32
+_TWO_WORDS = struct.Struct("<II")
+
+
 def _gnp_edges(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:
-    """G(n, p) edges: one rng.random() per pair, in (u, v) lexicographic order."""
+    """G(n, p) edges in (u, v) lexicographic order, each pair an edge exactly
+    when `rng.random() < p` holds for one draw per pair in that order.
+
+    When p < _BLOCK_BELOW_P, rows u with k = n - u >= _BLOCK_MIN_PAIRS
+    pairs take all their draws at once.  CPython's random() is X / 2**53
+    with X = (w0 >> 5) * 2**26 + (w1 >> 6) for two consecutive 32-bit
+    Mersenne Twister words, so random() < p exactly when the integer
+    X < cut = ceil(p * 2**53).  And getrandbits(64 * k) is the next 2k
+    words, least significant first, so words 2j and 2j + 1 of the block are
+    the draw for pair j.  The top byte of w0 is X >> 45, so a pair whose
+    top byte exceeds cut >> 45 is no edge; only the others, found at C
+    speed, are decided in Python from both words.  Both paths consume the
+    same words in the same order, so the edges and the generator's state
+    afterwards are those of the per-pair loop, bit for bit.  Graphs with no
+    block row pay no block set-up.
+    """
     rnd = rng.random
-    return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rnd() < p]
+    if n <= _BLOCK_MIN_PAIRS or p >= _BLOCK_BELOW_P:
+        return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rnd() < p]
+    cut = math.ceil(p * 2**53)
+    top = cut >> 45
+    maybe = b"\x01" * (top + 1) + bytes(255 - top)  # top byte -> 1 if it may be an edge
+    bits = rng.getrandbits
+    last_block_row = n - _BLOCK_MIN_PAIRS
+    edges: list[tuple[int, int]] = []
+    add = edges.append
+    for u in range(1, last_block_row + 1):
+        k = n - u
+        block = bits(64 * k).to_bytes(8 * k, "little")
+        candidates = block[3::8].translate(maybe)
+        j = candidates.find(1)
+        while j >= 0:
+            w0, w1 = _TWO_WORDS.unpack_from(block, 8 * j)
+            if ((w0 >> 5) << 26 | w1 >> 6) < cut:
+                add((u, u + 1 + j))
+            j = candidates.find(1, j + 1)
+    edges += [
+        (u, v) for u in range(last_block_row + 1, n + 1) for v in range(u + 1, n + 1) if rnd() < p
+    ]
+    return edges
 
 
 def generate_random(cfg: GeneratorConfig) -> Instance:
@@ -181,8 +229,8 @@ def generate_random(cfg: GeneratorConfig) -> Instance:
     the final degrees (majority/unanimity need them fixed).
     """
     rng = random.Random(cfg.rng_seed)
-    g = Graph(cfg.n, _gnp_edges(rng, cfg.n, cfg.edge_probability))
-    thr = []
+    g = Graph._trusted(cfg.n, _gnp_edges(rng, cfg.n, cfg.edge_probability))
+    thr = [0]
     for v in range(1, cfg.n + 1):
         d = g.degree(v)
         if cfg.threshold_mode == "constant":
@@ -194,7 +242,7 @@ def generate_random(cfg: GeneratorConfig) -> Instance:
         else:
             t = rng.randint(1, max(1, d))
         thr.append(max(1, min(t, max(1, d))))
-    return Instance(g, thr)
+    return Instance._trusted(g, thr)
 
 
 def _rows(text: str) -> list[tuple[int, list[str]]]:
@@ -209,6 +257,16 @@ def _rows(text: str) -> list[tuple[int, list[str]]]:
         if tokens:
             rows.append((lineno, tokens))
     return rows
+
+
+def _strict_int(token: str) -> int:
+    """int(token) for ASCII digits after an optional leading '-'; anything
+    else, including the underscores, '+' signs and non-ASCII digits that
+    int() takes, raises ValueError."""
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
 
 
 def parse_instance(text: str) -> Instance:
@@ -226,7 +284,7 @@ def parse_instance(text: str) -> Instance:
     if len(parts) != 3 or parts[0] != "tss":
         raise ParseError(f"line {lineno}: malformed header, expected 'tss <n> <m>'")
     try:
-        n, m = int(parts[1]), int(parts[2])
+        n, m = _strict_int(parts[1]), _strict_int(parts[2])
     except ValueError:
         raise ParseError(f"line {lineno}: malformed header, expected 'tss <n> <m>'")
     if n < 0 or m < 0:
@@ -237,23 +295,23 @@ def parse_instance(text: str) -> Instance:
             f"found {len(rows) - 1}"
         )
 
-    thresholds: dict[int, int] = {}
+    thr = [0] * (n + 1)  # 0 until the vertex's line is read
     for lineno, parts in rows[1 : 1 + n]:
         if len(parts) != 3 or parts[0] != "t":
             raise ParseError(f"line {lineno}: expected 't <vertex> <threshold>'")
         try:
-            v, t = int(parts[1]), int(parts[2])
+            v, t = _strict_int(parts[1]), _strict_int(parts[2])
         except ValueError:
             raise ParseError(f"line {lineno}: expected 't <vertex> <threshold>'")
         if not 1 <= v <= n:
             raise ParseError(f"line {lineno}: vertex {v} out of range 1..{n}")
-        if v in thresholds:
+        if thr[v]:
             raise ParseError(f"line {lineno}: duplicate threshold for vertex {v}")
         if t < 1:
             raise ParseError(f"line {lineno}: threshold below 1")
-        thresholds[v] = t
+        thr[v] = t
     for v in range(1, n + 1):
-        if v not in thresholds:
+        if not thr[v]:
             raise ParseError(f"line {rows[0][0]}: missing threshold line for vertex {v}")
 
     edges: list[tuple[int, int]] = []
@@ -262,7 +320,7 @@ def parse_instance(text: str) -> Instance:
         if len(parts) != 3 or parts[0] != "e":
             raise ParseError(f"line {lineno}: expected 'e <u> <v>'")
         try:
-            u, v = int(parts[1]), int(parts[2])
+            u, v = _strict_int(parts[1]), _strict_int(parts[2])
         except ValueError:
             raise ParseError(f"line {lineno}: expected 'e <u> <v>'")
         if not (1 <= u <= n and 1 <= v <= n):
@@ -273,7 +331,8 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(f"line {lineno}: duplicate edge ({u}, {v})")
         seen.add((u, v))
         edges.append((u, v))
-    return Instance(Graph(n, edges), thresholds)
+    # The checks above reject everything Graph(...) and Instance(...) would.
+    return Instance._trusted(Graph._trusted(n, edges), thr)
 
 
 def write_instance(inst: Instance) -> str:

@@ -226,7 +226,7 @@ def trace_violations(inst: Instance, trace: PropagationTrace) -> list[str]:
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    return Graph(n, _gnp_edges(rng, n, p))
+    return Graph._trusted(n, _gnp_edges(rng, n, p))
 
 
 def random_graph_min_degree_one(rng: random.Random, n_lo: int, n_hi: int) -> Graph:

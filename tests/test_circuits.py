@@ -65,6 +65,22 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "circuit 1_0\ninput 1\noutput 1\n",
+        "circuit 1\ninput \u0661\noutput 1\n",
+        "circuit 3\ninput 1\ninput 2\ngate 3 and 1 \u0662\noutput 3\n",
+        "circuit 3\ninput 1\ninput 2\ngate 3 and 1 +2\noutput 3\n",
+        "circuit 1\ninput 1\noutput 0_1\n",
+    ],
+)
+def test_parse_rejects_non_ascii_and_underscored_integers(text):
+    message = r"^line \d+: (malformed header|bad node id|expected 'output <id>')"
+    with pytest.raises(ParseError, match=message):
+        parse_circuit(text)
+
+
 def test_cycle_detected():
     with pytest.raises(ParseError) as err:
         build_circuit(

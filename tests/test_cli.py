@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 
 import pytest
@@ -44,12 +45,40 @@ def test_gen_reproducible(capsys):
 
 
 @pytest.mark.parametrize(
-    "thresholds", ["majority:3", "unanimity:2", "uniform:1", "constant:x", "foo", "constant:0"]
+    "thresholds",
+    [
+        "majority:3",
+        "unanimity:2",
+        "uniform:1",
+        "constant:x",
+        "foo",
+        "constant:0",
+        "constant:-1",
+        "constant:",
+        "constant:1_0",
+        "constant:\u0663",
+        "constant:+2",
+    ],
 )
 def test_gen_bad_thresholds_exits_2(thresholds, capsys):
     assert main(["gen", "-n", "3", "-p", "0.5", "--thresholds", thresholds]) == 2
     captured = capsys.readouterr()
     assert "--thresholds" in captured.err and captured.out == ""
+
+
+# sha256 of `gen` stdout, recorded before G(n, p) rows were drawn in blocks.
+GEN_STDOUT_SHA256 = {
+    1: "8e5b0cc140fa202efe2c071b3120cc2538b843795004a690e880692a45cab64a",
+    2: "c66d245c123923aed35aab3b05886e44811fd68a7d87b376f389a22a37c5fc93",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GEN_STDOUT_SHA256))
+def test_gen_stdout_pinned_by_digest(seed, capsys):
+    argv = ["gen", "-n", "300", "-p", "0.02", "--thresholds", "constant:2", "--seed", str(seed)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_STDOUT_SHA256[seed]
 
 
 @pytest.mark.parametrize("flag, n, p", [("-n", "-1", "0.5"), ("-p", "3", "2")])
@@ -69,6 +98,17 @@ def test_propagate_empty_seed(inst_file, capsys):
     assert main(["propagate", "-i", inst_file, "-s", ""]) == 0
     out = capsys.readouterr().out
     assert "rounds 0\nclosed 0\nopen 0" in out
+
+
+def test_propagate_seed_list_spaces_after_commas(inst_file, capsys):
+    assert main(["propagate", "-i", inst_file, "-s", "1, 2"]) == 0
+    assert "seed 1 2\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seeds", ["1_0", "\u0661", "+1", "1,,2"])
+def test_propagate_non_ascii_or_underscored_seed_exits_2(inst_file, seeds, capsys):
+    assert main(["propagate", "-i", inst_file, "-s", seeds]) == 2
+    assert "bad seed list" in capsys.readouterr().err
 
 
 def test_propagate_bad_seed_exits_2(inst_file, capsys):

@@ -1,9 +1,13 @@
+import hashlib
+import math
 import random
 
 import pytest
 
 from tsslab.gadgets import InstanceBuilder, reduce_thresholds_to_two
 from tsslab.instance import (
+    _BLOCK_BELOW_P,
+    _BLOCK_MIN_PAIRS,
     GeneratorConfig,
     Graph,
     Instance,
@@ -74,6 +78,42 @@ def test_roundtrip_random_instances():
         )
         inst = generate_random(cfg)
         assert parse_instance(write_instance(inst)) == inst
+
+
+def test_roundtrip_random_instances_above_block_crossover():
+    rng = random.Random(8)
+    for _ in range(12):
+        cfg = GeneratorConfig(
+            n=rng.randint(_BLOCK_MIN_PAIRS + 1, 300),
+            edge_probability=rng.choice((rng.uniform(0, _BLOCK_BELOW_P), rng.random())),
+            threshold_mode=rng.choice(("constant", "majority", "unanimity", "uniform")),
+            rng_seed=rng.randrange(2**32),
+            constant=rng.randint(1, 3),
+        )
+        inst = generate_random(cfg)
+        back = parse_instance(write_instance(inst))
+        assert back == inst and back.graph.adj == inst.graph.adj
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "tss 2 1\nt 1_2 \u0663\nt 2 1\ne 1 2\n",
+        "tss 2 1\nt 1 \u0663\nt 2 1\ne 1 2\n",
+        "tss 2 1\nt 1 +1\nt 2 1\ne 1 2\n",
+        "tss 10 1\n" + "".join(f"t {v} 1\n" for v in range(1, 11)) + "e 1 1_0\n",
+        "tss 2 1\nt 1 1\nt 2 1\ne 1 \uff12\n",
+        "tss \uff12 1\nt 1 1\nt 2 1\ne 1 2\n",
+    ],
+)
+def test_parse_rejects_non_ascii_and_underscored_integers(text):
+    with pytest.raises(ParseError, match=r"^line \d+: (expected '[te] |malformed header)"):
+        parse_instance(text)
+
+
+def test_parse_negative_threshold_still_says_below_one():
+    with pytest.raises(ParseError, match="^line 2: threshold below 1$"):
+        parse_instance("tss 2 1\nt 1 -1\nt 2 1\ne 1 2\n")
 
 
 def test_graph_rejects_bad_edges():
@@ -185,7 +225,9 @@ def _reference_random(cfg):
 @pytest.mark.parametrize("mode", ["constant", "majority", "unanimity", "uniform"])
 def test_generator_matches_reference_double_loop(mode):
     rng = random.Random(13)
-    for n, p in [(0, 0.5), (1, 1.0), (12, 0.0), (12, 1.0), (30, 0.2), (60, 0.05)]:
+    cases = [(0, 0.5), (1, 1.0), (12, 0.0), (12, 1.0), (30, 0.2), (60, 0.05)]
+    cases += [(_BLOCK_MIN_PAIRS + 1, 0.02), (400, 0.01), (150, 0.7), (300, 2**-8)]
+    for n, p in cases:
         cfg = GeneratorConfig(n, p, mode, rng.randrange(2**32), rng.randint(1, 4))
         assert write_instance(generate_random(cfg)) == write_instance(_reference_random(cfg))
 
@@ -195,3 +237,52 @@ def test_random_graph_matches_reference_double_loop():
         got_rng, ref_rng = random.Random(seed), random.Random(seed)
         assert random_graph(got_rng, n, p) == Graph(n, _reference_edges(ref_rng, n, p))
         assert got_rng.getstate() == ref_rng.getstate()
+
+
+def _first_small_draw(seed, count):
+    """(index, value) of the first of `count` draws from random.Random(seed)
+    below the block path's probability limit."""
+    rng = random.Random(seed)
+    for j in range(count):
+        x = rng.random()
+        if x < _BLOCK_BELOW_P:
+            return j, x
+    raise AssertionError("no small draw")
+
+
+def _block_stream_cases():
+    cases = [(_BLOCK_MIN_PAIRS + d, 0.02) for d in (-1, 0, 1, 2)]
+    cases += [(400, 0.01), (150, 0.7)]
+    for p in (0.0, 1.0, 2**-8, math.nextafter(2**-8, 0), math.nextafter(2**-8, 1)):
+        cases.append((200, p))
+    # A p the stream itself draws, for seed 0 in row 1 of n = 200, so that
+    # one pair sits exactly on the cut (random() == p is no edge), and the
+    # cuts ceil(p * 2**53) that are multiples of 2**26 on either side of it.
+    _, x = _first_small_draw(0, 199)
+    drawn = int(x * 2**53)
+    cases.append((200, x))
+    for high in (drawn >> 26, (drawn >> 26) + 1):
+        cases.append((200, (high << 26) / 2**53))
+    return cases
+
+
+@pytest.mark.parametrize("n, p", _block_stream_cases())
+def test_random_graph_matches_reference_above_block_crossover(n, p):
+    for seed in range(3):
+        got_rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert random_graph(got_rng, n, p) == Graph(n, _reference_edges(ref_rng, n, p))
+        assert got_rng.getstate() == ref_rng.getstate()
+
+
+# sha256 of generated instance text, recorded before G(n, p) rows were drawn
+# in blocks; a seed must keep giving the same instance.
+GENERATED_TEXT_SHA256 = {
+    1: "6d35530cc5bac0e44879e83e7c87fd862e97e6776de70f30f533a4775d71b996",
+    2: "b2370b9094c198f496aade1cf15689b842de91dab97a6b5a06e44c0b057d81d8",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GENERATED_TEXT_SHA256))
+def test_generated_text_pinned_by_digest(seed):
+    text = write_instance(generate_random(GeneratorConfig(3000, 0.003, "constant", seed, 2)))
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_TEXT_SHA256[seed]
