@@ -142,6 +142,16 @@ def _parse_seeds(raw: str) -> list[int]:
         raise ParseError(f"bad seed list {raw!r}; expected comma-separated integers")
 
 
+def _int_flag(token: str) -> int:
+    """An integer flag's value under the file formats' rule: ASCII digits
+    after an optional '-'.  argparse reports anything else, such as '1_0',
+    '+5' or a non-ASCII digit, against the flag and exits 2."""
+    try:
+        return _strict_int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsslab",
@@ -151,14 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a random instance")
-    gen.add_argument("-n", type=int, required=True, help="vertex count")
+    gen.add_argument("-n", type=_int_flag, required=True, help="vertex count")
     gen.add_argument("-p", type=float, required=True, help="edge probability")
     gen.add_argument(
         "--thresholds",
         default="constant:1",
         help="constant:<c>, majority, unanimity, or uniform",
     )
-    gen.add_argument("--seed", type=int, default=0, help="rng seed")
+    gen.add_argument("--seed", type=_int_flag, default=0, help="rng seed")
     gen.add_argument("-o", "--output", default=None)
 
     prop = sub.add_parser("propagate", help="run the activation process")
@@ -169,21 +179,23 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run a solver")
     solve.add_argument("-i", "--input", required=True)
     solve.add_argument("--problem", choices=SOLVE_PROBLEMS, default="target-set")
-    solve.add_argument("-k", type=int, default=None)
+    solve.add_argument("-k", type=_int_flag, default=None)
     solve.add_argument(
-        "-l", "--ell", type=int, default=None, help="decision bound on the value"
+        "-l", "--ell", type=_int_flag, default=None, help="decision bound on the value"
     )
     solve.add_argument("--mode", choices=("open", "closed"), default="closed")
     solve.add_argument("--goal", choices=("max", "min"), default="max")
-    solve.add_argument("--cap", type=int, default=None, help="target-set size cap")
+    solve.add_argument("--cap", type=_int_flag, default=None, help="target-set size cap")
     solve.add_argument("-o", "--output", default=None)
 
     red = sub.add_parser("reduce", help="compile an instance transformation")
     red.add_argument("name", choices=REDUCTIONS)
     red.add_argument("-i", "--input", required=True)
     red.add_argument("-o", "--output", required=True, help="output directory")
-    red.add_argument("-k", type=int, default=None)
-    red.add_argument("--h", type=int, default=None, dest="h", help="gap padding (default 1)")
+    red.add_argument("-k", type=_int_flag, default=None)
+    red.add_argument(
+        "--h", type=_int_flag, default=None, dest="h", help="gap padding (default 1)"
+    )
     red.add_argument("--rho", default=None, help="const:<c>, linear:<c>, poly:<c>,<d>")
     red.add_argument(
         "--mode", choices=("open", "closed"), help="is-decision only (default closed)"
@@ -192,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a property suite")
     ver.add_argument("suite", choices=sorted(verify.SUITES))
     for flag, name, _ in _VERIFY_FLAGS:
-        ver.add_argument(flag, type=int, default=None, dest=name)
+        ver.add_argument(flag, type=_int_flag, default=None, dest=name)
     return parser
 
 

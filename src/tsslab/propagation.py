@@ -169,7 +169,8 @@ def _rounds(inst: Instance, seed_list: list[int]) -> list[list[int]]:
     need[v] is the number of active neighbors v still lacks.  Seeds start at
     0; a vertex fires in the round its entry reaches 0, and every later
     decrement drives an active entry negative, so nothing fires twice and no
-    status array, trail or reset is needed.
+    status array, trail or reset is needed.  A round lists its vertices in
+    firing order, unsorted: every caller freezes, counts or unions them.
     """
     adj = inst.graph.adj
     need = list(inst.thr)
@@ -187,7 +188,6 @@ def _rounds(inst: Instance, seed_list: list[int]) -> list[list[int]]:
                     nxt.append(w)
         if not nxt:
             return rounds
-        nxt.sort()
         rounds.append(nxt)
         frontier = nxt
 

@@ -289,15 +289,24 @@ def enumerate_small_circuits(max_inputs: int = 3, max_gates: int = 3) -> list[Mo
     at least once.
 
     Gates are laid out in topological order after the inputs; structures
-    whose sink is not unique are discarded.  The survivors are deduplicated
-    under relabellings that permute each kind's own positions, so an
-    or-gate at position 4 never maps to one at position 5.  That key is
-    finer than isomorphism: a class can appear more than once ((3,3)
-    gives 981 circuits for 921 classes), but none is missed.  The first
-    circuit met under each key represents it.
+    whose sink is not unique are discarded.  Two layouts count as the same
+    when one is an image of the other under the group that permutes the
+    input positions and, separately, each gate kind's own positions, so an
+    or-gate at position 4 never maps to one at position 5.  That is finer
+    than isomorphism: a class can appear more than once ((3,3) gives 981
+    circuits for 921 classes), but none is missed.
+
+    The layouts are walked in a fixed order, and the first one met in each
+    orbit of that group represents it.  No layout is put in a canonical
+    form: each new representative marks its orbit as seen, namely every
+    image in which each predecessor still lies before its gate, which are
+    exactly the images the walk can meet, and a marked layout is skipped.
+    So the family, its order and its representatives are those of keeping
+    the first layout under any key that names the orbit, such as the least
+    relabelled node list (tests/test_circuits.py checks this against that
+    key).
     """
     out: list[MonotoneCircuit] = []
-    seen: set[tuple] = set()
     for ni in range(1, max_inputs + 1):
         for ng in range(max_gates + 1):
             total = ni + ng
@@ -306,39 +315,57 @@ def enumerate_small_circuits(max_inputs: int = 3, max_gates: int = 3) -> list[Mo
                 [ps for size in range(2, pos) for ps in combinations(range(1, pos), size)]
                 for pos in range(ni + 1, total + 1)
             ]
+            kind_choices = list(product(("and", "or"), repeat=ng))
+            orbit_maps: dict[int, list[list[int]]] = {}
+            # A layout's key: bit total*g + p says that gate g reads node p,
+            # and the low ng bits index its gate kinds in kind_choices.
+            seen: set[int] = set()
             for gate_preds in product(*slots):
                 if {p for ps in gate_preds for p in ps} != set(range(1, total)):
                     continue  # another sink besides the last node
+                packed = 0
+                for g, ps in enumerate(gate_preds):
+                    for p in ps:
+                        packed |= 1 << (total * g + p)
                 preds = [()] * ni + list(gate_preds)
-                for gate_kinds in product(("and", "or"), repeat=ng):
+                for kidx, gate_kinds in enumerate(kind_choices):
+                    if (packed << ng | kidx) in seen:
+                        continue
                     kinds = ["input"] * ni + list(gate_kinds)
-                    key = _canonical(kinds, preds)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(build_circuit(kinds, preds))
+                    out.append(build_circuit(kinds, preds))
+                    if kidx not in orbit_maps:
+                        orbit_maps[kidx] = _kind_preserving_maps(kinds)
+                    for to in orbit_maps[kidx]:
+                        image = 0
+                        for g, ps in enumerate(gate_preds):
+                            q = to[ni + 1 + g]
+                            shift = total * (q - ni - 1)
+                            for p in ps:
+                                if to[p] >= q:
+                                    break
+                                image |= 1 << (shift + to[p])
+                            else:
+                                continue
+                            break  # a predecessor after its gate: never walked
+                        else:
+                            seen.add(image << ng | kidx)
     return out
 
 
-def _canonical(kinds: list[str], preds: list[tuple[int, ...]]) -> tuple:
-    """Least relabelled node list over all permutations of each kind's
-    own positions.
-
-    The output needs no place in the key: it is the node list's unique sink.
-    """
+def _kind_preserving_maps(kinds: list[str]) -> list[list[int]]:
+    """Every relabelling of the positions 1..len(kinds) that permutes each
+    kind's own positions, as a list indexed by old position (index 0 unused)."""
     groups: dict[str, list[int]] = {}
     for v, kind in enumerate(kinds, start=1):
         groups.setdefault(kind, []).append(v)
     sources = [v for group in groups.values() for v in group]
-    best = None
+    maps = []
     for choice in product(*(permutations(group) for group in groups.values())):
-        to = dict(zip(sources, chain.from_iterable(choice)))
-        key = sorted(
-            (to[v], kind, tuple(sorted(to[p] for p in ps)))
-            for v, (kind, ps) in enumerate(zip(kinds, preds), start=1)
-        )
-        if best is None or key < best:
-            best = key
-    return tuple(best)
+        to = [0] * (len(kinds) + 1)
+        for v, w in zip(sources, chain.from_iterable(choice)):
+            to[v] = w
+        maps.append(to)
+    return maps
 
 
 # ---------------------------------------------------------------------------

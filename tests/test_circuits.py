@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import chain, combinations, permutations, product
 
 import pytest
 
@@ -160,6 +160,7 @@ ENUMERATED_FAMILIES = {
     (2, 2): (11, "4c2916fc4d5da8d3cf0a7dffc70dc48c1920ec8f344778189e392aa530388474"),
     (3, 3): (981, "b6c7aa8e578f1036c35755560f2faed6bcbd470e9b3dedec18296f03d00dd74b"),
     (4, 2): (83, "c114e2b508c7e13de40ed43ba1a798c7dc51c0ac8629af5a4d0e412ec189ec4b"),
+    (2, 4): (4355, "f66cf5b3657138f02c20ccb3e21e772228fefb7d9c4773ef3fedeae3410c0cfe"),
 }
 
 
@@ -174,3 +175,53 @@ def test_enumeration_covers_known_shapes():
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         for c in family[:50]:
             assert evaluate(c, set(range(1, c.n_inputs + 1)))
+
+
+def _layouts(max_inputs, max_gates):
+    """Every layout the enumeration walks, in its order: inputs first, then
+    gates in topological order reading two or more earlier nodes, with the
+    last node the only sink."""
+    for ni in range(1, max_inputs + 1):
+        for ng in range(max_gates + 1):
+            total = ni + ng
+            slots = [
+                [ps for size in range(2, pos) for ps in combinations(range(1, pos), size)]
+                for pos in range(ni + 1, total + 1)
+            ]
+            for gate_preds in product(*slots):
+                if {p for ps in gate_preds for p in ps} != set(range(1, total)):
+                    continue
+                for gate_kinds in product(("and", "or"), repeat=ng):
+                    yield ["input"] * ni + list(gate_kinds), [()] * ni + list(gate_preds)
+
+
+def _canonical(kinds, preds):
+    """Reference key: the least relabelled node list over all permutations
+    of each kind's own positions."""
+    groups = {}
+    for v, kind in enumerate(kinds, start=1):
+        groups.setdefault(kind, []).append(v)
+    sources = [v for group in groups.values() for v in group]
+    best = None
+    for choice in product(*(permutations(group) for group in groups.values())):
+        to = dict(zip(sources, chain.from_iterable(choice)))
+        key = sorted(
+            (to[v], kind, tuple(sorted(to[p] for p in ps)))
+            for v, (kind, ps) in enumerate(zip(kinds, preds), start=1)
+        )
+        if best is None or key < best:
+            best = key
+    return tuple(best)
+
+
+@pytest.mark.parametrize("max_inputs, max_gates", [(2, 2), (4, 2), (2, 3)])
+def test_enumeration_matches_canonical_key_oracle(max_inputs, max_gates):
+    family = enumerate_small_circuits(max_inputs, max_gates)
+    keys = [_canonical(c.kinds[1:], c.preds[1:]) for c in family]
+    assert len(set(keys)) == len(keys)  # no class twice
+    firsts = {}
+    for kinds, preds in _layouts(max_inputs, max_gates):
+        firsts.setdefault(_canonical(kinds, preds), build_circuit(kinds, preds))
+    assert set(firsts) == set(keys)  # every walked layout's class is returned
+    # and each by the first layout met under its key, in walk order
+    assert list(firsts.values()) == family

@@ -5,7 +5,7 @@ import pytest
 
 import tsslab
 from tsslab import verify
-from tsslab.cli import _VERIFY_FLAGS, main
+from tsslab.cli import _VERIFY_FLAGS, build_parser, main
 
 TWO_PATH = "tss 2 1\nt 1 1\nt 2 1\ne 1 2\n"
 
@@ -86,6 +86,45 @@ def test_gen_bad_value_names_flag(flag, n, p, capsys):
     assert main(["gen", "-n", n, "-p", p]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {flag} must") and captured.out == ""
+
+
+# Every integer flag: (subcommand argv without the flag, flag, dest).
+INT_FLAGS = [
+    (["gen", "-n", "1", "-p", "0"], "-n", "n"),
+    (["gen", "-n", "1", "-p", "0"], "--seed", "seed"),
+    (["solve", "-i", "x"], "-k", "k"),
+    (["solve", "-i", "x"], "-l", "ell"),
+    (["solve", "-i", "x"], "--ell", "ell"),
+    (["solve", "-i", "x"], "--cap", "cap"),
+    (["reduce", "clique", "-i", "x", "-o", "y"], "-k", "k"),
+    (["reduce", "clique", "-i", "x", "-o", "y"], "--h", "h"),
+] + [(["verify", "padding"], flag, name) for flag, name, _ in _VERIFY_FLAGS]
+
+
+@pytest.mark.parametrize("base, flag, dest", INT_FLAGS)
+def test_int_flags_take_plain_decimals(base, flag, dest):
+    for value in ("0", "7", "-3", "0042", "123456789012"):
+        args = build_parser().parse_args(base + [flag, value])
+        assert getattr(args, dest) == int(value)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen", "-n", "1_0", "-p", "0", "--seed", "\u0663"], "-n"),
+        (["gen", "-n", "10", "-p", "0", "--seed", "\u0663"], "--seed"),
+        (["gen", "-n", "+5", "-p", "0"], "-n"),
+        (["solve", "-i", "x", "--cap", " 1"], "--cap"),
+        (["reduce", "clique", "-i", "x", "-o", "y", "--h", "1_0"], "--h"),
+        (["verify", "propagation", "--trials", "\u0663"], "--trials"),
+    ],
+)
+def test_int_flag_not_plain_digits_exits_2(argv, flag, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}" in captured.err and captured.out == ""
 
 
 def test_propagate_trace_record(inst_file, capsys):
