@@ -13,15 +13,25 @@ Builds are bulk appends.  Every builder edge is created together with its
 newer endpoint: `add_vertex` joins the new vertex to checked existing
 neighbours, and a relay checks its two endpoints, then appends its four
 vertices and six edges.  So no edge can be out of range, a self-loop or a
-duplicate, and `build()` assembles its Graph from the builder's edge list
-without re-validating it.  Thresholds are checked as `add_vertex` and
+duplicate, and `build()` assembles its Graph from the builder's edges
+without re-validating them.  Thresholds are checked as `add_vertex` and
 `set_threshold` take them, so `build()` does not check them again either.
 A rejected builder call leaves the builder unchanged.
+
+The builder keeps its edges as one flat list of endpoints, u0, v0, u1,
+v1, ..., with u < v in each pair: ints are not tracked by the cyclic
+garbage collector, so a build allocates no tracked object per edge before
+`build()`.  `build()` pairs the endpoints up inside the graph assembly,
+which runs with the collector held off (see `instance`); it is not
+thread-safe.  The builder then keeps those edges as the built graph's
+edge tuple and starts a new flat list, so the list is freed before the
+assembly's memory peak, and a later `build()` still sees every edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .circuits import MonotoneCircuit
@@ -78,7 +88,8 @@ class InstanceBuilder:
         self._thr: list[int] = [0]
         self._tags: list[str] = [""]
         self._origin: list[int] = [0]
-        self._edges: list[tuple[int, int]] = []
+        self._ends: list[int] = []  # u0, v0, u1, v1, ... with u < v
+        self._paired: tuple[tuple[int, int], ...] = ()  # edges of the last build()
         self._next_gadget = 1
 
     @property
@@ -103,7 +114,9 @@ class InstanceBuilder:
         self._thr.append(threshold)
         self._tags.append(tag)
         self._origin.append(origin)
-        self._edges += [(u, v) for u in nbrs]
+        ends = [v] * (2 * len(nbrs))
+        ends[::2] = nbrs
+        self._ends += ends
         return v
 
     def set_threshold(self, v: int, threshold: int) -> None:
@@ -137,7 +150,7 @@ class InstanceBuilder:
         self._thr += (1, 1, 2, 1)
         self._tags += (f"d{gid}a", f"d{gid}b", f"d{gid}c", f"d{gid}d")
         self._origin += (u, u, u, u)
-        self._edges += ((a, b), (b, c), (c, d), (a, d), (u, a), (v, c))
+        self._ends += (a, b, b, c, c, d, a, d, u, a, v, c)
         return a
 
     def add_activation_gadget(self, v: int, inputs: Sequence[int], t: int) -> None:
@@ -177,7 +190,13 @@ class InstanceBuilder:
     def build(self, kind: str, **fields: object) -> ReducedInstance:
         """The instance built so far; `fields` fill the optional
         `ReducedInstance` fields (source, k, ell, params)."""
-        inst = Instance._trusted(Graph._trusted(self.vertex_count, self._edges), self._thr)
+        # The flat list is handed over, so it is freed as soon as it has been
+        # paired up, before the assembly's peak; its edges live on as pairs.
+        it = iter(self._ends)
+        self._ends = []
+        g = Graph._trusted(self.vertex_count, chain(self._paired, zip(it, it)))
+        self._paired = g.edges
+        inst = Instance._trusted(g, self._thr)
         return ReducedInstance(inst, kind, tuple(self._tags), tuple(self._origin), **fields)
 
 

@@ -3,10 +3,22 @@
 An instance is a simple undirected graph on vertices 1..n together with an
 integer threshold thr(v) >= 1 per vertex.  A vertex whose threshold exceeds
 its degree is legal; it can only ever become active by being seeded.
+
+Bulk work runs with CPython's cyclic garbage collector held off
+(`_gc_paused`): graph assembly, `parse_instance`, and
+`propagation.activate`.  Each allocates containers per edge, line or
+round that all stay alive, so every collection it would trigger re-walks
+them and frees nothing.  None of it creates a reference cycle, and the
+collector's first run after the pause sees any cycle that does exist, so
+nothing leaks.  The pause flips process-wide state and is not
+thread-safe: a thread that disables the collector while another thread
+is inside a paused call may find it enabled again when that call returns.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import math
 import random
 import struct
@@ -14,6 +26,23 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 THRESHOLD_MODES = ("constant", "majority", "unanimity", "uniform")
+
+
+def _gc_paused(fn):
+    """`fn` run with the cyclic collector disabled, restoring the caller's
+    `gc.isenabled()` on return and on error (see the module docstring)."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 class ParseError(ValueError):
@@ -52,6 +81,7 @@ class Graph:
         g._assemble(n, canon)
         return g
 
+    @_gc_paused
     def _assemble(self, n: int, canon: Iterable[tuple[int, int]]) -> None:
         ordered = tuple(sorted(canon))
         nbrs: list[list[int]] = [[] for _ in range(n + 1)]
@@ -269,6 +299,7 @@ def _strict_int(token: str) -> int:
     return int(token)
 
 
+@_gc_paused
 def parse_instance(text: str) -> Instance:
     """Parse the line-oriented instance format.
 

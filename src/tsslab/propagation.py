@@ -11,6 +11,12 @@ The `Propagator` journal serves only the internal levels of the exhaustive
 scans, which push and pop seeds around a shared prefix; a scan's leaves,
 the target-set kernel and the greedy heuristic's candidates ask
 `Propagator.gain`, which leaves the journal alone.
+
+`activate` runs whole (kernel, per-round freeze and union) with the cyclic
+garbage collector held off, as `instance` explains: its round lists and
+frozensets all survive the call, so a collection during it frees nothing.
+The pause is not thread-safe.  `influence` and `is_target_set`, which
+return only a count, run with the collector as the caller left it.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .instance import Instance
+from .instance import Instance, _gc_paused
 
 
 @dataclass(frozen=True)
@@ -202,6 +208,7 @@ def activate_round(inst: Instance, active: Iterable[int]) -> frozenset[int]:
     return frozenset(rounds[0]).union(*rounds[1:2])
 
 
+@_gc_paused
 def activate(inst: Instance, seed: Iterable[int]) -> PropagationTrace:
     """Run the activation process from `seed` to its unique fixpoint."""
     frozen = tuple(map(frozenset, _rounds(inst, _check_seed(inst, seed))))

@@ -12,7 +12,7 @@ from tsslab.circuits import (
     write_circuit,
 )
 from tsslab.instance import ParseError
-from tsslab.verify import enumerate_small_circuits, random_circuit
+from tsslab.verify import _kind_preserving_maps, enumerate_small_circuits, random_circuit
 
 TWO_LEVEL_CIRCUIT = """circuit 7
 input 1
@@ -225,3 +225,13 @@ def test_enumeration_matches_canonical_key_oracle(max_inputs, max_gates):
     assert set(firsts) == set(keys)  # every walked layout's class is returned
     # and each by the first layout met under its key, in walk order
     assert list(firsts.values()) == family
+
+
+def test_kind_preserving_maps_permute_each_kind_separately():
+    kinds = ["input", "input", "and", "or", "and"]
+    maps = _kind_preserving_maps(kinds)
+    assert all(kinds[to[v] - 1] == kinds[v - 1] for to in maps for v in range(1, 6))
+    # 2! * 1! * 2!: swap the inputs or not, swap the two and gates or not
+    assert sorted(maps) == sorted(
+        [0, a, b, c, 4, d] for a, b in permutations((1, 2)) for c, d in permutations((3, 5))
+    )

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -16,6 +17,7 @@ from tsslab.instance import (
     parse_instance,
     write_instance,
 )
+from tsslab.propagation import activate
 from tsslab.verify import random_graph
 
 TWO_PATH = "tss 2 1\nt 1 1\nt 2 1\ne 1 2\n"
@@ -286,3 +288,76 @@ GENERATED_TEXT_SHA256 = {
 def test_generated_text_pinned_by_digest(seed):
     text = write_instance(generate_random(GeneratorConfig(3000, 0.003, "constant", seed, 2)))
     assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_TEXT_SHA256[seed]
+
+
+def _path(n):
+    return Instance(Graph(n, [(v, v + 1) for v in range(1, n)]), [1] * n)
+
+
+def _paused_build(scale):
+    src = generate_random(GeneratorConfig(100 * scale, 0.05 / scale, "constant", 7, 2))
+    return lambda: reduce_thresholds_to_two(src)
+
+
+def _paused_parse(scale):
+    src = generate_random(GeneratorConfig(200 * scale, 0.05 / scale, "constant", 8, 2))
+    text = write_instance(src)
+    return lambda: parse_instance(text)
+
+
+def _paused_activate(scale):
+    path = _path(200 * scale)
+    return lambda: activate(path, [1])
+
+
+# Each entry point that runs with the cyclic collector held off, as a maker
+# of one call on an input of the given scale.  At scale 10 each call keeps
+# thousands of new containers alive, enough to trigger several young
+# collections if the collector ran during the call.
+PAUSED_CALLS = {"build": _paused_build, "parse": _paused_parse, "activate": _paused_activate}
+
+
+@pytest.mark.parametrize("entry", sorted(PAUSED_CALLS))
+def test_paused_entry_point_runs_without_collections(entry):
+    call = PAUSED_CALLS[entry](10)
+    gc.collect()
+    generations = []
+
+    def record(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(record)
+    assert gc.isenabled()
+    # At most the one young collection that the first allocation after the
+    # pause triggers, and never a collection of the older generations.
+    assert generations in ([], [0])
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: parse_instance("tss 2 0\nt 1 1\nt 2 0\n"), ParseError),
+        (lambda: activate(_path(3), [1, 4]), ValueError),
+    ],
+    ids=["parse", "activate"],
+)
+def test_paused_entry_point_restores_collector_on_error(call, error):
+    with pytest.raises(error):
+        call()
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("entry", sorted(PAUSED_CALLS))
+def test_paused_entry_point_keeps_callers_disabled_collector(entry):
+    call = PAUSED_CALLS[entry](1)
+    gc.disable()
+    try:
+        call()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
