@@ -67,11 +67,11 @@ def build_circuit(
             raise ParseError(f"node {i} has unknown kind {kin[i]!r}")
         pin.append(ps)
 
-    out_degree = [0] * (n + 1)
+    succ: list[list[int]] = [[] for _ in range(n + 1)]
     for i in range(1, n + 1):
         for p in pin[i]:
-            out_degree[p] += 1
-    sinks = [i for i in range(1, n + 1) if out_degree[i] == 0]
+            succ[p].append(i)
+    sinks = [i for i in range(1, n + 1) if not succ[i]]
     if len(sinks) != 1:
         raise ParseError(
             f"expected exactly one output candidate, found {len(sinks)}"
@@ -81,11 +81,7 @@ def build_circuit(
 
     # Kahn topological order; leftovers mean a cycle.
     indeg = [len(pin[i]) for i in range(n + 1)]
-    succ: list[list[int]] = [[] for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for p in pin[i]:
-            succ[p].append(i)
-    queue = deque(sorted(i for i in range(1, n + 1) if indeg[i] == 0))
+    queue = deque(i for i in range(1, n + 1) if indeg[i] == 0)
     topo: list[int] = []
     while queue:
         v = queue.popleft()

@@ -15,6 +15,7 @@ from pathlib import Path
 from . import verify
 from .circuits import parse_circuit
 from .instance import (
+    _GNP_PAIR_BUDGET,
     THRESHOLD_MODES,
     GeneratorConfig,
     ParseError,
@@ -212,6 +213,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     # GeneratorConfig checks these values too, but without naming the flag.
     if args.n < 0:
         raise ParseError(f"-n must be nonnegative, got {args.n}")
+    if args.n * (args.n - 1) // 2 > _GNP_PAIR_BUDGET:
+        raise ParseError(
+            f"-n must give at most {_GNP_PAIR_BUDGET} vertex pairs n(n-1)/2, got {args.n}"
+        )
     if not 0 <= args.p <= 1:
         raise ParseError(f"-p must lie in [0, 1], got {args.p}")
     mode, sep, value = args.thresholds.partition(":")

@@ -22,10 +22,10 @@ The builder keeps its edges as one flat list of endpoints, u0, v0, u1,
 v1, ..., with u < v in each pair: ints are not tracked by the cyclic
 garbage collector, so a build allocates no tracked object per edge before
 `build()`.  `build()` pairs the endpoints up inside the graph assembly,
-which runs with the collector held off (see `instance`); it is not
-thread-safe.  The builder then keeps those edges as the built graph's
-edge tuple and starts a new flat list, so the list is freed before the
-assembly's memory peak, and a later `build()` still sees every edge.
+which runs with the collector paused as `tsslab.instance` describes.  The
+builder then keeps those edges as the built graph's edge tuple and starts
+a new flat list, so the list is freed before the assembly's memory peak,
+and a later `build()` still sees every edge.
 """
 
 from __future__ import annotations

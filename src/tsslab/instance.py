@@ -5,7 +5,7 @@ integer threshold thr(v) >= 1 per vertex.  A vertex whose threshold exceeds
 its degree is legal; it can only ever become active by being seeded.
 
 Bulk work runs with CPython's cyclic garbage collector held off
-(`_gc_paused`): graph assembly, `parse_instance`, and
+(`_gc_paused`): graph assembly, `generate_random`, `parse_instance`, and
 `propagation.activate`.  Each allocates containers per edge, line or
 round that all stay alive, so every collection it would trigger re-walks
 them and frees nothing.  None of it creates a reference cycle, and the
@@ -26,6 +26,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 THRESHOLD_MODES = ("constant", "majority", "unanimity", "uniform")
+# The most vertex pairs n(n - 1)/2 one G(n, p) draw may decide (n = 14,142
+# fits): each pair costs a random draw, and far larger n would make a block
+# row ask getrandbits for more bits than a C int holds.
+_GNP_PAIR_BUDGET = 10**8
 
 
 def _gc_paused(fn):
@@ -178,6 +182,7 @@ class GeneratorConfig:
     ceil(deg/2), "unanimity" assigns deg, "uniform" draws uniformly from
     [1, deg].  All modes clamp into [1, max(1, deg)] so generated instances
     never carry a threshold above the degree (isolated vertices get 1).
+    n may give at most `_GNP_PAIR_BUDGET` vertex pairs.
     """
 
     n: int
@@ -189,6 +194,10 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("n must be nonnegative")
+        if self.n * (self.n - 1) // 2 > _GNP_PAIR_BUDGET:
+            raise ValueError(
+                f"n = {self.n} gives more than the {_GNP_PAIR_BUDGET} vertex pairs a draw may take"
+            )
         if not 0.0 <= self.edge_probability <= 1.0:
             raise ValueError("edge_probability must lie in [0, 1]")
         if self.threshold_mode not in THRESHOLD_MODES:
@@ -252,6 +261,7 @@ def _gnp_edges(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:
     return edges
 
 
+@_gc_paused
 def generate_random(cfg: GeneratorConfig) -> Instance:
     """Draw a G(n, p) instance; identical rng_seed yields identical output.
 

@@ -12,11 +12,8 @@ scans, which push and pop seeds around a shared prefix; a scan's leaves,
 the target-set kernel and the greedy heuristic's candidates ask
 `Propagator.gain`, which leaves the journal alone.
 
-`activate` runs whole (kernel, per-round freeze and union) with the cyclic
-garbage collector held off, as `instance` explains: its round lists and
-frozensets all survive the call, so a collection during it frees nothing.
-The pause is not thread-safe.  `influence` and `is_target_set`, which
-return only a count, run with the collector as the caller left it.
+`activate` runs with the cyclic garbage collector paused, as
+`tsslab.instance` describes; `influence` and `is_target_set` do not.
 """
 
 from __future__ import annotations

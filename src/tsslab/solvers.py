@@ -1,76 +1,22 @@
 """Exact seed-set search, heuristics, and the unanimity special cases.
 
-Exhaustive searches enumerate seed sets in cardinality-major lexicographic
-order.  Maximization problems range over |S| <= k, minimization problems
-over |S| = k; ties always go to the smaller, then lexicographically
-smaller, seed.  The scans share propagation work between seeds that share
-a prefix: internal levels push and pop seeds on the Propagator journal
-(push_one/pop_to), and the last level evaluates each candidate in place
-with Propagator.gain, which returns what a push would activate and leaves
-the engine untouched, so a leaf costs no journal push or pop.  Both exact
-solvers, `optimal_target_set` and `k_influence`, run through one
-`_search`, which scans the cardinalities in order with one Propagator and
-keeps one incumbent across them.  Each cardinality is one recursion, and
-the search stops early only when a seed reaches the problem's hard value
-bound.
+The exhaustive solvers, `optimal_target_set` and `k_influence`, enumerate
+seed sets cardinality-major, lexicographically within a cardinality, and
+keep one incumbent across cardinalities: a seed replaces it only when
+strictly better, so ties go to the smaller, then lexicographically
+smaller, seed.  `explored` counts the seed sets a scan ruled on.  For
+target-set and maximum-influence scans it is the lexicographic rank of
+the seed where the scan stopped (the full count when it does not stop),
+every skipped subtree counted at its full size.  For minimum-influence
+scans it is the number of seeds evaluated, skipped subtrees excluded.
+No skip changes a value or a witness; each is proved in the docstring of
+the function that applies it:
 
-Target-set and maximum-influence scans skip dominated subtrees.  At a
-node with prefix P, once the child v at universe index i has been searched
-in full without reaching the stop value, every later candidate w (index
-j > i) in cl(P + v), including any w already active in cl(P), is dominated:
-for each completion R drawn after w, P + v + R has the same size, lies in
-v's subtree and closes to a superset of cl(P + w + R), because closure is
-monotone and idempotent.  So w's subtree holds no target set and no seed
-worth more than one already seen (ties keep the earlier seed), and is
-skipped.  Such a subtree is counted at its full size, so `explored` stays
-the lexicographic rank of the seed where the scan stopped, or the full
-count when it does not stop.
-
-Those scans also bound a subtree by its suffix, at every node with at
-least two seeds still to choose.  Every seed under the child at universe
-index i is P + R with R drawn from universe[i:], so by monotonicity its
-closure is at most |cl(P + universe[i:])|.  Let limit = min(best,
-stop - 1) + offset, with the running best and the stop value as values
-and offset the seed size in open mode (0 in closed mode).  A child whose
-suffix closure is at most limit holds no seed strictly better than the
-incumbent, so none replaces it, and none that reaches the stop value, so
-none ends the scan.  Suffix closures shrink as i grows, so the children
-from some index `cut` on are exactly the bounded ones; the node finds
-`cut` by pushing universe[u-1], universe[u-2], ... until the closure
-exceeds limit, then pops back.  Those children are skipped and counted at
-their full size, comb(u - cut, need), so `explored` is unchanged.
-Without the stop clamp, a seed that only ties the incumbent at the stop
-value (open mode) would be skipped instead of ending the scan.  Dominance
-stays sound: a seed the bound skips is worth no more than the incumbent
-and less than the stop value, which is all the dominance argument asks of
-the seeds in a searched subtree.  The last level does not sweep: there
-the pushes cost as much as the `gain` calls they save.
-
-Minimum-influence scans, where the dominance inequality points the wrong
-way, prune by a monotone bound instead: a prefix's closure only grows as seeds
-are added, so a subtree whose prefix already closes to at least the
-incumbent value (less the seed size in open mode) holds no strictly better
-seed and is skipped.  A candidate is also skipped, with its whole subtree
-and without being pushed, when its singleton closure already reaches the
-incumbent: every seed holding v closes to a superset of cl({v}), so its
-value is at least |cl({v})| (less the seed size in open mode).  That floor
-table (`_singleton_closures`) costs one cascade per universe vertex,
-computed once per call for cardinalities c >= 2 (at c = 1 the leaf
-evaluation is the singleton closure itself); a cascade stops at the first
-vertex whose own closure is already known to be every vertex.  There
-`explored` counts the seed sets evaluated in one lexicographic pass with a
-running incumbent, so it excludes pruned and floor-skipped subtrees.
-`greedy_target_set` rates its candidates with `gain` too.
-
-`optimal_target_set` proves its lower bound on a kernel.  A vertex b is
-dominated when some other vertex a has b in cl({a}) and either a not in
-cl({b}) or a < b; any target set can swap b for a without growing, so the
-least target-set size over the undominated vertices (`_undominated`)
-equals the least over all of them.  The kernel's walk in id order also
-scans size 1; from c = 2 on, each cardinality is decided on the kernel,
-and only the cardinality that holds a target set is scanned over all
-vertices.  Every cardinality ruled out counts at its full size, so the
-witness and `explored` are those of the full scan.
+- sibling dominance, the suffix-closure bound, the prefix bound and the
+  singleton floor: `_search`;
+- the full-vertex stop of the floor table: `_singleton_closures`;
+- the undominated-vertex kernel: `_undominated`;
+- ruling out cardinalities on the kernel: `optimal_target_set`.
 """
 
 from __future__ import annotations
@@ -92,12 +38,9 @@ class SolveResult:
 
     `value` is the target-set size or influence value; `optimal` is set only
     when an exhaustive search finished (or provably found the optimum);
-    `explored` counts the seed sets the search ruled on: the lexicographic
-    rank of the stopping seed for target-set and maximum-influence scans,
-    the seed sets evaluated for minimum-influence scans, which leaves out
-    the subtrees the closure bound and the singleton-closure floor skip
-    (see the module docstring).  `seed` is None when a capped search
-    exhausted its cap without a feasible set.
+    `explored` counts the seed sets the search ruled on (see the module
+    docstring).  `seed` is None when a capped search exhausted its cap
+    without a feasible set.
     """
 
     problem: str
@@ -111,9 +54,7 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive search.  One call scans the subsets of `universe` of every size
-# in `sizes`, cardinality-major and lexicographic, under one running
-# incumbent.
+# Exhaustive search.
 
 
 def _search(
@@ -124,31 +65,58 @@ def _search(
     maximize: bool,
 ) -> tuple[int | None, tuple[int, ...] | None, int]:
     """Best influence over the seeds of each size in `sizes` (ascending)
-    drawn from `universe`.
+    drawn from `universe`, as (best_value, best_seed, explored).
 
-    Returns (best_value, best_seed, explored).  A seed replaces the best
-    only when strictly better, so ties keep the earlier seed.  The search
-    stops early only when a seed of size c reaches the stop value (n for
-    max, c for min, each less c in open mode), which no later seed in the
-    enumeration could beat or tie-break.  For max, `explored` is the
-    lexicographic count up to that seed (all of them if none stops), with
-    every skipped subtree counted at its full size; for min it counts the
-    seeds evaluated.
+    One Propagator and one incumbent serve every cardinality; each
+    cardinality c is one recursion.  Internal levels push each candidate on
+    the journal and pop it after its subtree; the last level evaluates a
+    candidate v in place as |cl(prefix)| + len(gain(v)), under the same
+    skips and stop test, and copies the prefix only when a leaf improves
+    the best value.  With offset = c in open mode (0 in closed mode), the
+    scan stops at the first seed reaching the stop value, n - offset for
+    max and c - offset for min, which no later seed could beat or
+    tie-break.
 
-    A max-goal search skips dominated subtrees and, at nodes with at least
-    two seeds still needed, every child i whose suffix closure
-    |cl(prefix + universe[i:])| is at most min(best, stop - 1) plus the
-    offset (see the module docstring).  A min-goal search skips every
-    prefix whose closure already reaches the running best, since adding
-    seeds never shrinks a closure.  From the first c >= 2 on, it also
-    skips, unevaluated, every candidate v whose singleton closure |cl({v})|
-    already reaches the running best.
+    A max-goal search skips two kinds of subtree, each counted at its full
+    size so that `explored` stays the lexicographic rank:
 
-    Internal levels push each candidate on the journal and pop it after its
-    subtree.  The last level (one seed still needed) evaluates a candidate
-    v as |cl(prefix)| + len(gain(v)) without pushing it, under the same
-    skips, stop test and dominance stamps as an internal level, and copies
-    the prefix only when a leaf improves the best value.
+    - Dominance.  At a node with prefix P, once the child v at universe
+      index i has been searched in full without reaching the stop value,
+      every later candidate w in cl(P + v), including any w already in
+      cl(P), is dominated: for each completion R drawn after w, P + v + R
+      has the same size, lies in v's subtree and closes to a superset of
+      cl(P + w + R), because closure is monotone and idempotent.  So w's
+      subtree holds no seed worth more than one already seen (ties keep
+      the earlier seed) and none reaching the stop value.
+      dominated[need - 1][w] == node marks w at the open node of that
+      depth; node ids are never reused, so stale stamps never match.
+    - Suffix closure, at nodes with at least two seeds still to choose.
+      Every seed under the child at index i is P + R with R drawn from
+      universe[i:], so it closes to at most |cl(P + universe[i:])|.  With
+      limit = min(best, stop - 1) + offset, a child whose suffix closure
+      is at most limit holds no seed strictly better than the incumbent
+      and none reaching the stop value; without the stop clamp, a seed
+      that only ties the incumbent at the stop value (open mode) would be
+      skipped instead of ending the scan.  Suffix closures shrink as i
+      grows, so the bounded children are those from some index `cut` on,
+      found by pushing universe[u-1], universe[u-2], ... until the closure
+      exceeds limit.  A skipped seed is worth no more than the incumbent
+      and less than the stop value, which is all dominance asks of a
+      searched subtree.  The last level does not sweep: there the pushes
+      cost as much as the `gain` calls they save.
+
+    A min-goal search, where the dominance inequality points the wrong
+    way, skips two other kinds of subtree and leaves them out of
+    `explored`:
+
+    - Prefix bound.  A closure only grows as seeds are added, so a prefix
+      whose closure, less the offset, already reaches the best value holds
+      no strictly better seed.
+    - Singleton floor, from the first c >= 2 on.  A candidate v is skipped
+      unpushed when |cl({v})| - offset reaches the best value: every seed
+      holding v closes to a superset of cl({v}).  The table
+      (`_singleton_closures`) is built once per call; at c = 1 the leaf
+      evaluation is the singleton closure itself.
     """
     prop = Propagator(inst)
     gain = prop.gain
@@ -159,15 +127,10 @@ def _search(
     u = len(universe)
     combo: list[int] = []
     floor: list[int] | None = None
-    # dominated[need - 1][w] == node: w is dominated at the open node of
-    # that depth; node ids count on across cardinalities and are never
-    # reused, so stale stamps never match.
     dominated: list[list[int]] = []
     nodes = 0
 
     def leaves(lo: int, hi: int, node: int, dom: list[int]) -> bool:
-        # The last level: each candidate is evaluated in place by gain(v),
-        # so a leaf costs no journal push or pop.
         nonlocal best_v, best_seed, explored
         base = prop.active_count() - offset
         for i in range(lo, hi):
@@ -210,8 +173,8 @@ def _search(
             return leaves(lo, hi, node, dom)
         cut = hi
         if maximize and best_v is not None:
-            # Suffix-closure bound (module docstring): no seed under a child
-            # from `cut` on closes to more than `limit`.
+            # Suffix-closure bound: no seed under a child from `cut` on
+            # closes to more than `limit`.
             limit = min(best_v, stop_value - 1) + offset
             if prop.active_count() <= limit:
                 token = prop.push_one(universe[u - 1])
@@ -257,11 +220,12 @@ def _search(
         if maximize:
             dominated.extend([0] * (n + 1) for _ in range(len(dominated), c))
         elif c >= 2 and floor is None:
-            # At c = 1 the leaf evaluation is the singleton closure itself,
-            # so the floor table would only double the work.
             floor = _singleton_closures(inst, universe)
         if rec(0, u - c + 1, c):
             break
+    # rec reaches itself through its closure cell; clearing it frees the
+    # scan's state now rather than at the next cyclic collection.
+    del rec
     return best_v, best_seed, explored
 
 
@@ -366,31 +330,22 @@ def _undominated(inst: Instance, universe: Sequence[int]) -> list[int]:
 def optimal_target_set(inst: Instance, size_cap: int | None = None) -> SolveResult:
     """Smallest target set, by exhaustive cardinality-major search.
 
-    Seeds are enumerated by increasing cardinality and lexicographically
-    within a cardinality; the first target set found is returned.  If no
-    target set of size <= size_cap exists the result carries no seed and
-    optimal=False; a negative size_cap raises ValueError.
+    The first target set in the order is returned.  If no target set of
+    size <= size_cap exists the result carries no seed and optimal=False;
+    a negative size_cap raises ValueError.
 
-    The lower bound is proved on the undominated-vertex kernel
-    (`_undominated`), which always holds a least target set, so the kernel
-    itself is a target set.  Its walk in id order doubles as the scan of
-    size 1: the kernel is one vertex exactly when some singleton is a
-    target set, and that vertex is then the first such singleton, which
-    dominates every later one (equal closures, smaller id); the walk stops
-    there, as the scan of size 1 does.  From c = 2 on, a cardinality is
-    decided on the kernel; when the kernel has no target set of size c,
-    none of size c exists at all (no smaller one does either), and c is
-    counted at its full size comb(n, c).  Only the cardinality where the
-    kernel finds one is scanned over all vertices, so the witness is the
-    one the full scan returns.
-
-    That scan is a closed max-influence scan that stops at value n, so it
-    skips dominated subtrees (see the module docstring): a candidate that
-    an earlier sibling activates, where that sibling's subtree held no
-    target set, cannot lead to one either.  `explored` is the lexicographic
-    rank of the returned seed (the full count when there is none), with
-    skipped subtrees counted at full size, exactly as a scan of every
-    cardinality over all vertices counts it.
+    Cardinalities are ruled out on the undominated-vertex kernel
+    (`_undominated`), which holds a least target set, so the kernel itself
+    is a target set.  Its walk in id order doubles as the scan of size 1:
+    the kernel is one vertex exactly when some singleton is a target set,
+    and that vertex is then the first such singleton, which dominates every
+    later one (equal closures, smaller id); the walk stops there, as the
+    scan of size 1 does.  From c = 2 on, when the kernel has no target set
+    of size c, none of size c exists at all (nor a smaller one), so c is
+    counted at its full size comb(n, c), as the full scan would count it.
+    Only the first c where the kernel finds one is scanned over all
+    vertices, so the witness and `explored` are those of a scan of every
+    cardinality over all vertices.
     """
     if size_cap is not None and size_cap < 0:
         raise ValueError("size_cap must be nonnegative")
@@ -428,25 +383,8 @@ def k_influence(
     Maximization searches |S| <= k, minimization |S| = k (the empty seed
     would otherwise always win it).  `universe` restricts the vertices
     seeds may use.  Refuses enumerations larger than
-    DEFAULT_EVALUATION_LIMIT seed sets (counted before any pruning).
-
-    Maximization skips dominated subtrees: a candidate that an earlier
-    sibling activates, where that sibling's subtree never reached the stop
-    value, cannot lead to a seed worth more.  It also skips a candidate
-    when the prefix, the candidate and every later universe vertex together
-    close to no more than the best value so far, nor reach the stop value:
-    every seed in that subtree closes to a subset.  `explored` is then the
-    lexicographic rank of the seed where the scan stopped (the full count
-    if none), with skipped subtrees counted at full size.  Minimization
-    scans each cardinality in one lexicographic pass with a running
-    incumbent.  It prunes a prefix by the monotone closure bound, and, for
-    c >= 2, skips a candidate v unpushed when |cl({v})| (less c in open
-    mode) already reaches the best value, since every seed holding v
-    closes to at least cl({v}); a singleton cascade stops at a vertex
-    already known to close to everything.  `explored` counts the seed sets evaluated,
-    so it excludes both kinds of skipped subtree.  Either way (see the
-    module docstring) values and witnesses are those of the full
-    enumeration.
+    DEFAULT_EVALUATION_LIMIT seed sets (counted before any pruning).  The
+    order, the tie rule and `explored` are the module docstring's.
     """
     if mode not in ("open", "closed"):
         raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
@@ -496,25 +434,17 @@ def greedy_target_set(inst: Instance) -> SolveResult:
     """Upper-bound heuristic: repeatedly seed the vertex with the largest
     marginal closed influence (ties to the smallest id) until everything
     activates."""
-    n = inst.n
     prop = Propagator(inst)
+    n = prop.n
     seed: list[int] = []
     explored = 0
-    while not prop.is_full() and len(seed) < n:
-        chosen = None
-        best_gain = -1
-        in_seed = set(seed)
-        for v in range(1, n + 1):
-            if v in in_seed:
-                continue
-            explored += 1
-            gain = len(prop.gain(v))
-            if gain > best_gain:
-                best_gain = gain
-                chosen = v
-        assert chosen is not None
-        seed.append(chosen)
-        prop.push_one(chosen)
+    while not prop.is_full():
+        # An active vertex gains (), an inactive one at least itself, so the
+        # first maximum is the least inactive vertex of largest gain.
+        explored += n - len(seed)
+        gains = [len(prop.gain(v)) for v in range(1, n + 1)]
+        seed.append(gains.index(max(gains)) + 1)
+        prop.push_one(seed[-1])
     return SolveResult("target-set-greedy", frozenset(seed), len(seed), False, explored)
 
 

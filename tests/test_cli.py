@@ -1,5 +1,8 @@
 import hashlib
 import inspect
+import re
+import time
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +89,16 @@ def test_gen_bad_value_names_flag(flag, n, p, capsys):
     assert main(["gen", "-n", n, "-p", p]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {flag} must") and captured.out == ""
+
+
+@pytest.mark.parametrize("n", ["14143", "40000000", "2000000000"])
+def test_gen_refuses_draw_above_pair_budget(n, capsys):
+    start = time.perf_counter()
+    assert main(["gen", "-n", n, "-p", "0", "--seed", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: -n must") and "100000000" in captured.err
+    assert captured.out == ""
 
 
 # Every integer flag: (subcommand argv without the flag, flag, dest).
@@ -408,6 +421,12 @@ def test_verify_golden_stdout(command, passed, capsys):
 
 def test_verify_golden_covers_every_suite():
     assert {command.split()[0] for command, _ in VERIFY_GOLDEN} == set(verify.SUITES)
+
+
+def test_readme_lists_every_verify_suite():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("`verify` suites are:", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`([a-z-]+)`", listed) == sorted(verify.SUITES)
 
 
 def test_every_suite_keyword_is_a_verify_flag():

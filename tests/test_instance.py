@@ -156,6 +156,13 @@ def test_generator_complete_graph_modes():
     assert all(maj.thr[v] == 2 for v in range(1, 5))
 
 
+def test_generator_refuses_more_pairs_than_budget():
+    assert GeneratorConfig(14142, 0.5).n == 14142  # 99,991,011 pairs
+    for n in (14143, 40_000_000, 2_000_000_000):
+        with pytest.raises(ValueError, match="100000000 vertex pairs"):
+            GeneratorConfig(n, 0.0)
+
+
 def test_generator_deterministic():
     cfg = GeneratorConfig(12, 0.4, "uniform", rng_seed=99)
     assert generate_random(cfg) == generate_random(cfg)
@@ -305,6 +312,11 @@ def _paused_parse(scale):
     return lambda: parse_instance(text)
 
 
+def _paused_generate(scale):
+    cfg = GeneratorConfig(300 * scale, 0.03 / scale, "constant", 5, 2)
+    return lambda: generate_random(cfg)
+
+
 def _paused_activate(scale):
     path = _path(200 * scale)
     return lambda: activate(path, [1])
@@ -314,7 +326,12 @@ def _paused_activate(scale):
 # of one call on an input of the given scale.  At scale 10 each call keeps
 # thousands of new containers alive, enough to trigger several young
 # collections if the collector ran during the call.
-PAUSED_CALLS = {"build": _paused_build, "parse": _paused_parse, "activate": _paused_activate}
+PAUSED_CALLS = {
+    "build": _paused_build,
+    "parse": _paused_parse,
+    "generate": _paused_generate,
+    "activate": _paused_activate,
+}
 
 
 @pytest.mark.parametrize("entry", sorted(PAUSED_CALLS))

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations
 from math import comb
@@ -114,6 +115,35 @@ def test_greedy_always_feasible_and_at_least_optimal():
         res = greedy_target_set(inst)
         assert naive_is_target_set(inst, res.seed)
         assert res.value >= optimal_target_set(inst).value
+
+
+def naive_greedy(inst):
+    """(seed, value, explored) of a plain greedy loop: each round asks every
+    vertex outside the seed for |cl(seed + v)| - |cl(seed)| and seeds the
+    first one of largest gain."""
+    seed = []
+    explored = 0
+    while len(naive_closure(inst, seed)) < inst.n:
+        base = len(naive_closure(inst, seed))
+        best_gain = chosen = None
+        for v in range(1, inst.n + 1):
+            if v not in seed:
+                explored += 1
+                gain = len(naive_closure(inst, seed + [v])) - base
+                if best_gain is None or gain > best_gain:
+                    best_gain, chosen = gain, v
+        seed.append(chosen)
+    return frozenset(seed), len(seed), explored
+
+
+def test_greedy_matches_naive_per_round_argmax():
+    rng = random.Random(29)
+    cases = [kernel_case(rng) for _ in range(300)] + list(EMPTY_AND_EDGELESS)
+    assert any(inst.thr[v] > inst.graph.degree(v) > 0 for inst in cases for v in range(1, inst.n + 1))
+    assert any(inst.graph.degree(v) == 0 for inst in cases for v in range(1, inst.n + 1))
+    for inst in cases:
+        res = greedy_target_set(inst)
+        assert (res.seed, res.value, res.explored) == naive_greedy(inst), (inst.graph.edges, inst.thr)
 
 
 # unanimity 2-approximation ---------------------------------------------------
@@ -642,3 +672,24 @@ def test_min_floor_matches_brute_force():
             res = k_influence(inst, 0, mode, "min")
             ref = naive_min_scan(inst, range(1, inst.n + 1), [0], mode == "closed")
             assert (res.value, res.seed, res.explored) == ref, (inst.n, mode)
+
+
+# scan state freed on return ------------------------------------------------
+
+
+def test_solvers_leave_no_cyclic_garbage():
+    rng = random.Random(71)
+    compiled = [mcs_to_tss(c).instance for c in enumerate_small_circuits(3, 3)[::40]]
+    small = [random_instance(rng, 10) for _ in range(20)]
+    gc.collect()
+    gc.disable()
+    try:
+        for inst in compiled + small:
+            optimal_target_set(inst)
+            greedy_target_set(inst)
+        for inst in small:
+            k_influence(inst, min(2, inst.n), goal="max")
+            k_influence(inst, min(2, inst.n), goal="min")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
