@@ -148,9 +148,7 @@ def parse_circuit(text: str) -> MonotoneCircuit:
             raise ParseError(f"line {lineno}: duplicate definition of node {i}")
         kinds[i] = kind
         preds[i] = ps
-    for i in range(1, n + 1):
-        if kinds[i] is None:
-            raise ParseError(f"line {rows[0][0]}: node {i} never defined")
+    # n lines, each with a new id in 1..n, have defined every node.
 
     lineno, parts = rows[1 + n]
     if len(parts) != 2 or parts[0] != "output":

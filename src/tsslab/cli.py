@@ -184,8 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "-l", "--ell", type=_int_flag, default=None, help="decision bound on the value"
     )
-    solve.add_argument("--mode", choices=("open", "closed"), default="closed")
-    solve.add_argument("--goal", choices=("max", "min"), default="max")
+    solve.add_argument(
+        "--mode", choices=("open", "closed"), help="k-influence only (default closed)"
+    )
+    solve.add_argument("--goal", choices=("max", "min"), help="k-influence only (default max)")
     solve.add_argument("--cap", type=_int_flag, default=None, help="target-set size cap")
     solve.add_argument("-o", "--output", default=None)
 
@@ -248,6 +250,16 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    # Every problem reads -l; the two heuristics read none of these.
+    takes = {
+        "target-set": ("--cap",),
+        "k-influence": ("-k", "--mode", "--goal"),
+        "unanimity-min-open": ("-k",),
+    }
+    given = (("-k", args.k), ("--mode", args.mode), ("--goal", args.goal), ("--cap", args.cap))
+    for flag, value in given:
+        if value is not None and flag not in takes.get(args.problem, ()):
+            raise ParseError(f"the {args.problem} problem does not take {flag}")
     inst = parse_instance(_read(args.input))
     if args.problem == "target-set":
         res = optimal_target_set(inst, args.cap)
@@ -258,7 +270,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     elif args.problem == "k-influence":
         if args.k is None:
             raise ParseError("k-influence needs -k")
-        res = k_influence(inst, args.k, args.mode, args.goal)
+        res = k_influence(inst, args.k, args.mode or "closed", args.goal or "max")
     else:
         if args.k is None:
             raise ParseError("unanimity-min-open needs -k")

@@ -15,8 +15,8 @@ the function that applies it:
 - sibling dominance, the suffix-closure bound, the prefix bound and the
   singleton floor: `_search`;
 - the full-vertex stop of the floor table: `_singleton_closures`;
-- the undominated-vertex kernel: `_undominated`;
-- ruling out cardinalities on the kernel: `optimal_target_set`.
+- the candidate set, on which `optimal_target_set` rules out sizes and
+  finds its witness: `_candidates`.
 """
 
 from __future__ import annotations
@@ -274,46 +274,32 @@ def _singleton_closures(inst: Instance, universe: Sequence[int]) -> list[int]:
     return floor
 
 
-def _undominated(inst: Instance, universe: Sequence[int]) -> list[int]:
-    """The vertices of `universe` (ascending ids) that no other universe
-    vertex dominates, largest singleton closure first (ties by id).
+def _candidates(inst: Instance) -> list[int]:
+    """The candidates: the vertices b in no cl({a}) with a < b, largest
+    singleton closure first (ties by id).
 
-    Vertex b is dominated when b is in cl({a}) for some universe vertex
-    a != b with a not in cl({b}) or a < b.  Dominance is a strict order:
-    b in cl({a}) means cl({b}) is a subset of cl({a}), so a dominates b
-    exactly when cl({b}) is a proper subset of cl({a}), or the two are
-    equal and a < b.  Any seed S holding b can swap b for a without
-    growing: cl(S - b + a) holds a, hence b, and the rest of S, so it
-    contains cl(S).  Swapping each dominated seed for a maximal dominator,
-    which is undominated, turns any target set into one within the kernel
-    that is no larger: the least target-set size over the kernel equals the
-    least over the universe.
+    Lemma: the first least target set, in the order of the module
+    docstring, holds only candidates.  Let a least target set S hold b in
+    cl({a}) with a < b.  The seed S - b + a holds a, so its closure holds
+    b, hence S, hence every vertex.  If a is in S, that seed is smaller
+    than S; otherwise it has S's size and is lexicographically smaller.
+    So a size with no target set over the candidates has none at all, and
+    at the least size the first target set over the candidates in id order
+    is the first over all vertices.  At size 1 it is {a} for the first
+    vertex a whose closure is every vertex, so the walk returns [a] there.
 
-    One Propagator walks the universe in ascending id order.  A vertex
-    already marked is skipped; an unmarked vertex a is asked `gain(a)`,
-    and every vertex of cl({a}) except a is marked.  The unmarked universe
-    vertices are exactly the undominated ones:
-
-    - Each c marked by a is dominated by a.  If c > a this holds by
-      definition.  If c < a and a were in cl({c}), the closures would be
-      equal, and c (or the vertex that marked c, whose closure contains
-      cl({c})) would have marked a before a's turn; but a was walked
-      unmarked.  So a is not in cl({c}).
-    - Each dominated b is marked by a maximal dominator a*.  a* is
-      undominated, so by the first point it is never marked; it is walked,
-      and marks b.
-
-    A vertex a whose closure is every vertex marks all the others, so the
-    walk returns [a] at once: nothing after it would be asked.
-
-    Only walked vertices cost a `gain` call, so the walk is far cheaper
-    than the singleton-closure table over the whole universe.
+    One Propagator walks the ids in ascending order, asks `gain(a)` of
+    each vertex a not yet marked, and marks all of cl({a}).  Before its
+    turn a vertex can be marked only by a smaller one, so an unmarked
+    vertex is a candidate.  If b is in cl({a}) for some a < b, the least
+    such a is unmarked (a smaller vertex closing to a would close to b),
+    so it is walked and marks b.
     """
     prop = Propagator(inst)
     n = inst.n
     marked = bytearray(n + 1)
     walked: list[tuple[int, int]] = []
-    for a in universe:
+    for a in range(1, n + 1):
         if marked[a]:
             continue
         closure = prop.gain(a)
@@ -321,10 +307,18 @@ def _undominated(inst: Instance, universe: Sequence[int]) -> list[int]:
             return [a]
         for c in closure:
             marked[c] = 1
-        marked[a] = 0
         walked.append((-len(closure), a))
     walked.sort()
-    return [a for _, a in walked if not marked[a]]
+    return [a for _, a in walked]
+
+
+def _lex_rank(n: int, seed: Sequence[int]) -> int:
+    """Rank, from 1, of the ascending `seed` among the subsets of 1..n of
+    its size c in lexicographic order: comb(n, c) less the subsets after
+    it, counted by the first index i where they differ, where they draw
+    their c - i last members from the n - seed[i] ids above seed[i]."""
+    c = len(seed)
+    return comb(n, c) - sum(comb(n - v, c - i) for i, v in enumerate(seed))
 
 
 def optimal_target_set(inst: Instance, size_cap: int | None = None) -> SolveResult:
@@ -334,18 +328,11 @@ def optimal_target_set(inst: Instance, size_cap: int | None = None) -> SolveResu
     size <= size_cap exists the result carries no seed and optimal=False;
     a negative size_cap raises ValueError.
 
-    Cardinalities are ruled out on the undominated-vertex kernel
-    (`_undominated`), which holds a least target set, so the kernel itself
-    is a target set.  Its walk in id order doubles as the scan of size 1:
-    the kernel is one vertex exactly when some singleton is a target set,
-    and that vertex is then the first such singleton, which dominates every
-    later one (equal closures, smaller id); the walk stops there, as the
-    scan of size 1 does.  From c = 2 on, when the kernel has no target set
-    of size c, none of size c exists at all (nor a smaller one), so c is
-    counted at its full size comb(n, c), as the full scan would count it.
-    Only the first c where the kernel finds one is scanned over all
-    vertices, so the witness and `explored` are those of a scan of every
-    cardinality over all vertices.
+    Each size is ruled out on the candidates (`_candidates`), largest
+    closure first; at the first size with a target set, the candidates are
+    scanned again in id order for the witness.  `explored` is that of the
+    scan over all vertices: every size ruled out counts in full, and the
+    witness's size adds its lexicographic rank (`_lex_rank`).
     """
     if size_cap is not None and size_cap < 0:
         raise ValueError("size_cap must be nonnegative")
@@ -356,16 +343,17 @@ def optimal_target_set(inst: Instance, size_cap: int | None = None) -> SolveResu
         return SolveResult("target-set", frozenset(), 0, True, explored)
     if cap == 0:
         return SolveResult("target-set", None, None, False, explored)
-    universe = tuple(range(1, n + 1))
-    kernel = _undominated(inst, universe)
-    if len(kernel) == 1:
-        # Rank of the first target singleton among the size-1 seeds: its id.
-        return SolveResult("target-set", frozenset(kernel), 1, True, explored + kernel[0])
+    cands = _candidates(inst)
+    if len(cands) == 1:
+        # By the lemma a lone candidate is the first target singleton; its
+        # rank among the size-1 seeds is its id.
+        return SolveResult("target-set", frozenset(cands), 1, True, explored + cands[0])
     explored += n
     for c in range(2, cap + 1):
-        if _search(inst, kernel, (c,), True, True)[0] == n:
-            _, seed, rank = _search(inst, universe, (c,), True, True)
-            return SolveResult("target-set", frozenset(seed), c, True, explored + rank)
+        if _search(inst, cands, (c,), True, True)[0] == n:
+            seed = _search(inst, sorted(cands), (c,), True, True)[1]
+            explored += _lex_rank(n, seed)
+            return SolveResult("target-set", frozenset(seed), c, True, explored)
         explored += comb(n, c)
     return SolveResult("target-set", None, None, False, explored)
 

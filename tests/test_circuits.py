@@ -90,6 +90,11 @@ def test_cycle_detected():
     assert "cycle" in str(err.value)
 
 
+def test_build_circuit_refuses_unequal_node_lists():
+    with pytest.raises(ValueError, match="^kinds and preds must have equal length$"):
+        build_circuit(["input"], [])
+
+
 def test_empty_circuit_rejected():
     with pytest.raises(ParseError, match="expected exactly one output candidate, found 0"):
         build_circuit([], [])

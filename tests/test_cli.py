@@ -8,7 +8,7 @@ import pytest
 
 import tsslab
 from tsslab import verify
-from tsslab.cli import _VERIFY_FLAGS, build_parser, main
+from tsslab.cli import _VERIFY_FLAGS, SOLVE_PROBLEMS, build_parser, main
 
 TWO_PATH = "tss 2 1\nt 1 1\nt 2 1\ne 1 2\n"
 
@@ -200,6 +200,93 @@ def test_solve_decision_bound(inst_file, capsys):
     assert "decision true" in capsys.readouterr().out
     assert main(args + ["-l", "0"]) == 0
     assert "decision false" in capsys.readouterr().out
+
+
+# The path 1-2-3-4 under unanimity thresholds.
+P4_UNANIMITY = "tss 4 3\nt 1 1\nt 2 2\nt 3 2\nt 4 1\ne 1 2\ne 2 3\ne 3 4\n"
+
+# Exact `tsslab solve` stdout on P4_UNANIMITY, one case per problem plus a
+# capped search that finds nothing.
+SOLVE_GOLDEN = [
+    (
+        "--problem target-set",
+        "problem target-set\nseed 1 3\nvalue 2\noptimal true\nexplored 7\n",
+    ),
+    (
+        "--problem target-set --cap 1",
+        "problem target-set\nseed none\nvalue none\noptimal false\nexplored 5\n",
+    ),
+    (
+        "--problem greedy-target-set -l 2",
+        "problem target-set-greedy\nseed 2 3\nvalue 2\noptimal false\nexplored 7\n"
+        "decision true\n",
+    ),
+    (
+        "--problem unanimity-2approx",
+        "problem target-set-unanimity-2approx\nseed 1 2 3 4\nvalue 4\noptimal false\n"
+        "explored 0\n",
+    ),
+    (
+        "--problem unanimity-min-open -k 2",
+        "problem min-open-influence-unanimity\nk 2\ngoal min\nmode open\nseed 1 2\n"
+        "value 0\noptimal true\nexplored 0\n",
+    ),
+    (
+        "--problem k-influence -k 1",
+        "problem k-influence\nk 1\ngoal max\nmode closed\nseed 2\nvalue 2\n"
+        "optimal true\nexplored 5\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, stdout", SOLVE_GOLDEN)
+def test_solve_golden_stdout(tmp_path, flags, stdout, capsys):
+    src = tmp_path / "p4.tss"
+    src.write_text(P4_UNANIMITY)
+    assert main(["solve", "-i", str(src), *flags.split()]) == 0
+    assert capsys.readouterr() == (stdout, "")
+
+
+def test_solve_golden_covers_every_problem():
+    assert {flags.split()[1] for flags, _ in SOLVE_GOLDEN} == set(SOLVE_PROBLEMS)
+
+
+# The flags each problem reads, besides -l, which every problem reads.
+SOLVE_READS = {
+    "target-set": ("--cap",),
+    "k-influence": ("-k", "--mode", "--goal"),
+    "unanimity-min-open": ("-k",),
+}
+SOLVE_FLAG_VALUE = {"-k": "1", "--mode": "closed", "--goal": "max", "--cap": "2"}
+
+
+@pytest.mark.parametrize(
+    "problem, flag",
+    [
+        (problem, flag)
+        for problem in SOLVE_PROBLEMS
+        for flag in SOLVE_FLAG_VALUE
+        if flag not in SOLVE_READS.get(problem, ())
+    ],
+)
+def test_solve_unread_flag_exits_2(tmp_path, problem, flag, capsys):
+    src = tmp_path / "p4.tss"
+    src.write_text(P4_UNANIMITY)
+    k = ["-k", "1"] if "-k" in SOLVE_READS.get(problem, ()) else []
+    argv = ["solve", "-i", str(src), "--problem", problem, *k, flag, SOLVE_FLAG_VALUE[flag]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: the {problem} problem does not take {flag}\n"
+    assert captured.out == ""
+
+
+def test_solve_names_the_first_unread_flag(inst_file, capsys):
+    argv = ["solve", "-i", inst_file, "--problem", "unanimity-min-open", "-k", "1"]
+    assert main(argv + ["--mode", "closed", "--goal", "max"]) == 2
+    assert capsys.readouterr().err == "error: the unanimity-min-open problem does not take --mode\n"
+    argv = ["solve", "-i", inst_file, "--problem", "target-set", "-k", "2", "--goal", "min"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: the target-set problem does not take -k\n"
 
 
 def test_reduce_mcs_writes_three_files(tmp_path, capsys):
@@ -486,6 +573,26 @@ def test_parse_error_exits_2(tmp_path, capsys):
     bad.write_text("tss 1 0\nt 1 0\n")
     assert main(["propagate", "-i", str(bad), "-s", ""]) == 2
     assert "threshold below 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (["solve"], "tss 2 1\nt 1 1\nt 2 1\ne 2 1\n", "line 4: edge endpoints must satisfy u < v"),
+        (
+            ["reduce", "mcs"],
+            "circuit 3\ninput 1\ninput 2\ngate 3 xor 1 2\noutput 3\n",
+            "line 4: gate kind must be 'and' or 'or'",
+        ),
+    ],
+)
+def test_parse_error_of_each_format_exits_2(tmp_path, command, text, message, capsys):
+    src = tmp_path / "bad"
+    src.write_text(text)
+    out = tmp_path / "out"
+    assert main([*command, "-i", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 # The public names are part of the contract next to the CLI text.

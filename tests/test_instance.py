@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from tsslab.circuits import build_circuit, parse_circuit
 from tsslab.gadgets import InstanceBuilder, reduce_thresholds_to_two
 from tsslab.instance import (
     _BLOCK_BELOW_P,
@@ -116,6 +117,120 @@ def test_parse_rejects_non_ascii_and_underscored_integers(text):
 def test_parse_negative_threshold_still_says_below_one():
     with pytest.raises(ParseError, match="^line 2: threshold below 1$"):
         parse_instance("tss 2 1\nt 1 -1\nt 2 1\ne 1 2\n")
+
+
+def _build(args):
+    return build_circuit(*args)
+
+
+# Every error the two text formats and `build_circuit` raise, with its exact
+# message.  Blank and comment lines shift some cases, so each line number is
+# the line's place in the file, not among the rows read.
+EVERY_PARSE_ERROR = [
+    (parse_instance, "", "line 1: missing header"),
+    (parse_instance, "# comment only\n", "line 1: missing header"),
+    (parse_instance, "\n# c\ntss 2\n", "line 3: malformed header, expected 'tss <n> <m>'"),
+    (parse_instance, "tss 2 x\n", "line 1: malformed header, expected 'tss <n> <m>'"),
+    (parse_instance, "tss -1 0\n", "line 1: negative counts in header"),
+    (
+        parse_instance,
+        "tss 2 1\nt 1 1\nt 2 1\n",
+        "line 1: header promises 2 threshold and 1 edge lines, found 2",
+    ),
+    (parse_instance, "tss 1 0\nthr 1 1\n", "line 2: expected 't <vertex> <threshold>'"),
+    (parse_instance, "tss 1 0\n\nt 1 x\n", "line 3: expected 't <vertex> <threshold>'"),
+    (parse_instance, "tss 1 0\nt 2 1\n", "line 2: vertex 2 out of range 1..1"),
+    (parse_instance, "tss 2 0\nt 1 1\nt 1 1\n", "line 3: duplicate threshold for vertex 1"),
+    (parse_instance, "tss 1 0\nt 1 0\n", "line 2: threshold below 1"),
+    (parse_instance, "tss 2 1\nt 1 1\nt 2 1\nedge 1 2\n", "line 4: expected 'e <u> <v>'"),
+    (parse_instance, "tss 2 1\nt 1 1\nt 2 1\n# c\ne 1 y\n", "line 5: expected 'e <u> <v>'"),
+    (parse_instance, "tss 2 1\nt 1 1\nt 2 1\ne 1 3\n", "line 4: edge endpoint out of range 1..2"),
+    (
+        parse_instance,
+        "tss 2 1\nt 1 1\nt 2 1\ne 2 1\n",
+        "line 4: edge endpoints must satisfy u < v",
+    ),
+    (parse_instance, "tss 2 2\nt 1 1\nt 2 1\ne 1 2\ne 1 2\n", "line 5: duplicate edge (1, 2)"),
+    (parse_circuit, "# c\n", "line 1: missing circuit header"),
+    (parse_circuit, "\ncirc 1\n", "line 2: malformed header, expected 'circuit <n>'"),
+    (parse_circuit, "circuit x\n", "line 1: malformed header, expected 'circuit <n>'"),
+    (parse_circuit, "circuit 0\noutput 1\n", "line 1: circuit needs at least one node"),
+    (
+        parse_circuit,
+        "circuit 2\ninput 1\noutput 1\n",
+        "line 1: expected 2 node lines plus an output line",
+    ),
+    (parse_circuit, "circuit 1\ninput x\noutput 1\n", "line 2: bad node id"),
+    (
+        parse_circuit,
+        "circuit 3\ninput 1\ninput 2\ngate 3 and 1 x\noutput 3\n",
+        "line 4: bad node id",
+    ),
+    (
+        parse_circuit,
+        "circuit 3\ninput 1\ninput 2\ngate 3 xor 1 2\noutput 3\n",
+        "line 4: gate kind must be 'and' or 'or'",
+    ),
+    (
+        parse_circuit,
+        "circuit 1\nnode 1\noutput 1\n",
+        "line 2: expected 'input <id>' or 'gate <id> ...'",
+    ),
+    (parse_circuit, "circuit 1\n# c\ninput 2\noutput 1\n", "line 3: node id 2 out of range 1..1"),
+    (
+        parse_circuit,
+        "circuit 2\ninput 1\ninput 1\noutput 1\n",
+        "line 3: duplicate definition of node 1",
+    ),
+    (parse_circuit, "circuit 1\ninput 1\nout 1\n", "line 3: expected 'output <id>'"),
+    (parse_circuit, "circuit 1\ninput 1\noutput x\n", "line 3: expected 'output <id>'"),
+    (parse_circuit, "circuit 1\ninput 1\noutput 2\n", "line 3: output id 2 out of range 1..1"),
+    # Errors of the assembled circuit carry no line number.
+    (
+        parse_circuit,
+        "circuit 3\ninput 1\ninput 2\ngate 3 and 1 9\noutput 3\n",
+        "node 3 references unknown node 9",
+    ),
+    (
+        parse_circuit,
+        "circuit 3\ninput 1\ninput 2\ngate 3 and 1 3\noutput 3\n",
+        "node 3 feeds itself",
+    ),
+    (
+        parse_circuit,
+        "circuit 3\ninput 1\ninput 2\ngate 3 and 1 1\noutput 3\n",
+        "node 3 lists a predecessor twice",
+    ),
+    (
+        parse_circuit,
+        "circuit 3\ninput 1\ninput 2\ngate 3 or 1\noutput 3\n",
+        "gate 3 has fewer than two inputs",
+    ),
+    (
+        parse_circuit,
+        "circuit 3\ninput 1\ninput 2\ninput 3\noutput 3\n",
+        "expected exactly one output candidate, found 3",
+    ),
+    (
+        parse_circuit,
+        "circuit 3\ninput 1\ninput 2\ngate 3 and 1 2\noutput 2\n",
+        "declared output 2 is not the unique sink 3",
+    ),
+    (
+        parse_circuit,
+        "circuit 5\ninput 1\ninput 2\ngate 3 and 1 4\ngate 4 and 2 3\ngate 5 and 3 4\noutput 5\n",
+        "cycle detected",
+    ),
+    (_build, (["input", "input"], [(), (1,)]), "input node 2 must have no predecessors"),
+    (_build, (["input", "input", "nand"], [(), (), (1, 2)]), "node 3 has unknown kind 'nand'"),
+]
+
+
+@pytest.mark.parametrize("parse, source, message", EVERY_PARSE_ERROR)
+def test_every_parse_error_message(parse, source, message):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert str(err.value) == message
 
 
 def test_graph_rejects_bad_edges():

@@ -178,6 +178,19 @@ def test_rho_presets():
         rho_preset("exp:2")
 
 
+def test_rho_preset_fractional_exponent():
+    # poly:1,0.5 is sqrt(t), so x / rho(x) = sqrt(x) reaches g = 154 first
+    # at x = 154 ** 2.
+    p = choose_gap_padding(4, rho_preset("poly:1,0.5"), "clique")
+    assert (p.g, p.x, p.h) == (154, 154**2, 159)
+
+
+@pytest.mark.parametrize("label", ["poly:1", "const:x"])
+def test_rho_preset_malformed_argument_names_preset(label):
+    with pytest.raises(ValueError, match=f"^bad rho preset '{label}'$"):
+        rho_preset(label)
+
+
 # clique construction -----------------------------------------------------------
 
 

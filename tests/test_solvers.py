@@ -1,17 +1,25 @@
 import gc
 import random
+import time
 from itertools import combinations
 from math import comb
 
 import pytest
 
+from tsslab.circuits import evaluate, min_weight_satisfying
 from tsslab.instance import THRESHOLD_MODES, GeneratorConfig, Graph, Instance, generate_random
 from tsslab.propagation import Propagator
-from tsslab.reductions import is_to_influence_decision, is_to_min_closed_influence, mcs_to_tss
+from tsslab.reductions import (
+    is_to_influence_decision,
+    is_to_min_closed_influence,
+    map_target_set_to_assignment,
+    mcs_to_tss,
+)
 from tsslab.solvers import (
+    _candidates,
+    _lex_rank,
     _search,
     _singleton_closures,
-    _undominated,
     greedy_target_set,
     k_influence,
     min_open_influence_unanimity,
@@ -24,6 +32,7 @@ from tsslab.verify import (
     enumerate_small_circuits,
     naive_closure,
     naive_is_target_set,
+    random_circuit,
     random_graph,
     random_graph_min_degree_one,
     random_instance,
@@ -428,7 +437,7 @@ def test_dominance_scans_on_compiled_circuits():
         check_max_scan(inst, 2, "closed", universe)
 
 
-# undominated-vertex kernel against its definition and the full scan --------
+# candidate set and rank helper against their definitions and the full scan --
 
 
 def kernel_case(rng):
@@ -444,34 +453,36 @@ def kernel_case(rng):
     return Instance(g, thr)
 
 
-def naive_undominated(inst, universe):
-    """Universe vertices b with no universe vertex a != b such that b is in
-    cl({a}) and either a is not in cl({b}) or a < b."""
-    cl = {v: naive_closure(inst, [v]) for v in universe}
-    return {
-        b
-        for b in universe
-        if not any(a != b and b in cl[a] and (a not in cl[b] or a < b) for a in universe)
-    }
+def naive_candidates(inst):
+    """Vertices b in no cl({a}) with a < b, largest closure first (ties by
+    id); just the first vertex whose closure is every vertex, if any."""
+    cl = {v: naive_closure(inst, [v]) for v in range(1, inst.n + 1)}
+    full = [v for v in cl if len(cl[v]) == inst.n]
+    if full:
+        return [full[0]]
+    cands = [b for b in cl if not any(b in cl[a] for a in range(1, b))]
+    return sorted(cands, key=lambda v: (-len(cl[v]), v))
 
 
-def test_kernel_is_the_undominated_vertices():
+def test_candidates_are_the_vertices_in_no_smaller_closure():
     rng = random.Random(71)
-    above_degree = isolated = 0
+    above_degree = isolated = full = 0
     for _ in range(400):
         inst = kernel_case(rng)
         degrees = [inst.graph.degree(v) for v in range(1, inst.n + 1)]
         above_degree += sum(t > d for t, d in zip(inst.thr[1:], degrees))
         isolated += degrees.count(0)
-        universe = range(1, inst.n + 1)
-        if rng.random() < 0.3:
-            universe = sorted(rng.sample(universe, rng.randint(1, inst.n)))
-        kernel = _undominated(inst, universe)
-        assert set(kernel) == naive_undominated(inst, universe), (inst.graph.edges, inst.thr)
-        assert len(kernel) == len(set(kernel))
-        sizes = [len(naive_closure(inst, [v])) for v in kernel]
-        assert sizes == sorted(sizes, reverse=True)
-    assert above_degree and isolated
+        cands = _candidates(inst)
+        assert cands == naive_candidates(inst), (inst.graph.edges, inst.thr)
+        full += len(naive_closure(inst, cands[:1])) == inst.n
+    assert above_degree and isolated and 0 < full < 400
+
+
+def test_lex_rank_counts_combinations_in_order():
+    for n in range(8):
+        for c in range(n + 1):
+            for rank, seed in enumerate(combinations(range(1, n + 1), c), start=1):
+                assert _lex_rank(n, seed) == rank, (n, seed)
 
 
 def test_kernel_target_scan_matches_lexicographic_scan():
@@ -505,6 +516,27 @@ def test_kernel_target_scan_on_compiled_circuits():
         ), circ
         optima.add(res.value)
     assert optima == {1, 2, 3}
+
+
+def test_target_set_on_larger_random_circuits_is_fast():
+    # Thirty seed-1 random circuits each with up to 6 and up to 8 inputs and
+    # gates, compiled to up to 1,119 vertices, with optima up to 8.  The time
+    # bound catches a witness scan over all vertices, which takes about 40 s
+    # on one of them.
+    start = time.perf_counter()
+    optima = set()
+    for size in (6, 8):
+        rng = random.Random(1)
+        for _ in range(30):
+            circ = random_circuit(rng, size, size)
+            r = mcs_to_tss(circ)
+            res = optimal_target_set(r.instance, size_cap=circ.n_inputs)
+            assert res.optimal and res.value == len(min_weight_satisfying(circ)), circ
+            assignment = map_target_set_to_assignment(r, res.seed)
+            assert len(assignment) == res.value and evaluate(circ, assignment), circ
+            optima.add(res.value)
+    assert max(optima) == 8
+    assert time.perf_counter() - start < 15
 
 
 # suffix-closure bound on max scans ------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from tsslab import verify
 from tsslab.instance import parse_instance
+from tsslab.propagation import PropagationTrace, activate
 
 
 def _solver(value):
@@ -91,3 +92,68 @@ def test_counterexample_carries_source_graph(suite, kwargs, patches, check, monk
     start = next(i for i, line in enumerate(lines) if line.startswith("tss "))
     inst = parse_instance("\n".join(lines[start:]) + "\n")
     assert inst.n >= 2 and inst.m >= 1
+
+
+# The path 1-2-3 with threshold 1 everywhere, seeded at 1: one vertex per
+# round.
+PATH3 = "tss 3 2\nt 1 1\nt 2 1\nt 3 1\ne 1 2\ne 2 3\n"
+RECOUNT = (frozenset({1}), frozenset({2}), frozenset({3}))
+
+
+def _trace(rounds, final, round_count):
+    return PropagationTrace(
+        frozenset({1}), tuple(map(frozenset, rounds)), frozenset(final), round_count
+    )
+
+
+def _recount_differs(rounds):
+    return f"rounds differ from recount: {tuple(map(frozenset, rounds))} vs {list(RECOUNT)}"
+
+
+@pytest.mark.parametrize(
+    "rounds, final, round_count, problems",
+    [
+        ([{1}, {2, 3}], {1, 2, 3}, 1, [_recount_differs([{1}, {2, 3}])]),
+        (
+            [{1}, {2}, set(), {3}],
+            {1, 2, 3},
+            3,
+            [_recount_differs([{1}, {2}, set(), {3}]), "round 2 is empty"],
+        ),
+        (
+            [{1}, {2}, {2, 3}],
+            {1, 2, 3},
+            2,
+            [_recount_differs([{1}, {2}, {2, 3}]), "round 2 re-activates [2]"],
+        ),
+        (
+            RECOUNT,
+            {1, 2},
+            2,
+            ["final_active is not the union of the rounds", "final_active is not a fixpoint"],
+        ),
+        (RECOUNT, {1, 2, 3}, 1, ["round_count disagrees with the number of rounds"]),
+        (
+            RECOUNT,
+            {1, 2, 3},
+            4,
+            ["round_count disagrees with the number of rounds", "round_count 4 exceeds n=3"],
+        ),
+        (
+            [{1}, {2}],
+            {1, 2},
+            1,
+            [_recount_differs([{1}, {2}]), "final_active is not a fixpoint"],
+        ),
+    ],
+)
+def test_trace_violations_reports_each_broken_rule(rounds, final, round_count, problems):
+    inst = parse_instance(PATH3)
+    assert verify.trace_violations(inst, _trace(rounds, final, round_count)) == problems
+
+
+def test_trace_violations_accepts_a_correct_trace():
+    inst = parse_instance(PATH3)
+    trace = activate(inst, [1])
+    assert trace == _trace(RECOUNT, {1, 2, 3}, 2)
+    assert verify.trace_violations(inst, trace) == []
