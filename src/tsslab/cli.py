@@ -18,6 +18,7 @@ from .instance import (
     _GNP_PAIR_BUDGET,
     THRESHOLD_MODES,
     GeneratorConfig,
+    Graph,
     ParseError,
     _strict_int,
     generate_random,
@@ -43,20 +44,29 @@ from .solvers import (
     unanimity_target_set_2approx,
 )
 
-SOLVE_PROBLEMS = (
-    "target-set",
-    "greedy-target-set",
-    "unanimity-2approx",
-    "k-influence",
-    "unanimity-min-open",
-)
+# Each problem's solver, and each reduction's builder, input reader and
+# padding variant.  A choice reads the flags its function has parameters
+# for, and an unset flag takes that function's default (see `_keywords`).
+_SOLVERS = {
+    "target-set": optimal_target_set,
+    "greedy-target-set": greedy_target_set,
+    "unanimity-2approx": unanimity_target_set_2approx,
+    "k-influence": k_influence,
+    "unanimity-min-open": min_open_influence_unanimity,
+}
+SOLVE_PROBLEMS = tuple(_SOLVERS)
 
-REDUCTIONS = ("mcs", "thresholds-to-two", "clique", "is-decision", "is-min-closed")
 
-# The two gap constructions: builder and padding variant.
-_GAP_REDUCTIONS = {
-    "clique": (clique_to_max_influence, "clique"),
-    "is-min-closed": (is_to_min_closed_influence, "min-closed"),
+def _parse_graph(text: str) -> Graph:
+    return parse_instance(text).graph
+
+
+_REDUCTIONS = {
+    "mcs": (mcs_to_tss, parse_circuit, None),
+    "thresholds-to-two": (reduce_thresholds_to_two, parse_instance, None),
+    "clique": (clique_to_max_influence, _parse_graph, "clique"),
+    "is-decision": (is_to_influence_decision, _parse_graph, None),
+    "is-min-closed": (is_to_min_closed_influence, _parse_graph, "min-closed"),
 }
 
 # `verify` flags: (flag, suite keyword, least value).  Sizes start at 1,
@@ -192,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("-o", "--output", default=None)
 
     red = sub.add_parser("reduce", help="compile an instance transformation")
-    red.add_argument("name", choices=REDUCTIONS)
+    red.add_argument("name", choices=_REDUCTIONS)
     red.add_argument("-i", "--input", required=True)
     red.add_argument("-o", "--output", required=True, help="output directory")
     red.add_argument("-k", type=_int_flag, default=None)
@@ -249,32 +259,31 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _keywords(subject: str, func, flags) -> dict:
+    """Check `flags`, (flag, parameter, value) triples in reporting order
+    with None for an unset flag, against `func`'s signature.  The first set
+    flag whose parameter `func` lacks, else the first unset flag whose
+    parameter has no default, is a usage error.  The set flags come back as
+    keyword arguments, so an unset one takes `func`'s own default."""
+    params = inspect.signature(func).parameters
+    for flag, name, value in flags:
+        if value is not None and name not in params:
+            raise ParseError(f"the {subject} does not take {flag}")
+    for flag, name, value in flags:
+        if value is None and name in params and params[name].default is inspect.Parameter.empty:
+            raise ParseError(f"the {subject} needs {flag}")
+    return {name: value for _, name, value in flags if value is not None}
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
-    # Every problem reads -l; the two heuristics read none of these.
-    takes = {
-        "target-set": ("--cap",),
-        "k-influence": ("-k", "--mode", "--goal"),
-        "unanimity-min-open": ("-k",),
-    }
-    given = (("-k", args.k), ("--mode", args.mode), ("--goal", args.goal), ("--cap", args.cap))
-    for flag, value in given:
-        if value is not None and flag not in takes.get(args.problem, ()):
-            raise ParseError(f"the {args.problem} problem does not take {flag}")
-    inst = parse_instance(_read(args.input))
-    if args.problem == "target-set":
-        res = optimal_target_set(inst, args.cap)
-    elif args.problem == "greedy-target-set":
-        res = greedy_target_set(inst)
-    elif args.problem == "unanimity-2approx":
-        res = unanimity_target_set_2approx(inst)
-    elif args.problem == "k-influence":
-        if args.k is None:
-            raise ParseError("k-influence needs -k")
-        res = k_influence(inst, args.k, args.mode or "closed", args.goal or "max")
-    else:
-        if args.k is None:
-            raise ParseError("unanimity-min-open needs -k")
-        res = min_open_influence_unanimity(inst, args.k)
+    solver = _SOLVERS[args.problem]
+    kwargs = _keywords(f"{args.problem} problem", solver, (
+        ("-k", "k", args.k),
+        ("--mode", "mode", args.mode),
+        ("--goal", "goal", args.goal),
+        ("--cap", "size_cap", args.cap),
+    ))
+    res = solver(parse_instance(_read(args.input)), **kwargs)
     text = format_result(res)
     if args.ell is not None and res.value is not None:
         goal = res.goal or "min"
@@ -285,36 +294,22 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    # The gap reductions read -k, --h and --rho; is-decision reads -k and
-    # --mode; the others none of these.
-    takes = {"mcs": (), "thresholds-to-two": (), "is-decision": ("-k", "--mode")}
-    given = (("-k", args.k), ("--h", args.h), ("--rho", args.rho), ("--mode", args.mode))
-    for flag, value in given:
-        if value is not None and flag not in takes.get(args.name, ("-k", "--h", "--rho")):
-            raise ParseError(f"the {args.name} reduction does not take {flag}")
-    if args.name == "mcs":
-        r = mcs_to_tss(parse_circuit(_read(args.input)))
-    elif args.name == "thresholds-to-two":
-        r = reduce_thresholds_to_two(parse_instance(_read(args.input)))
+    build, read, variant = _REDUCTIONS[args.name]
+    # --rho is read where --h is: it picks the builder's h.
+    kwargs = _keywords(f"{args.name} reduction", build, (
+        ("-k", "k", args.k),
+        ("--h", "h", args.h),
+        ("--rho", "h", args.rho),
+        ("--mode", "mode", args.mode),
+    ))
+    source = read(_read(args.input))
+    if args.rho is None:
+        r = build(source, **kwargs)
+    elif args.h is not None:
+        raise ParseError(f"--h {args.h} and --rho {args.rho!r} both set the padding; give one")
     else:
-        if args.k is None:
-            raise ParseError(f"the {args.name} reduction needs -k")
-        g = parse_instance(_read(args.input)).graph
-        if args.name == "is-decision":
-            r = is_to_influence_decision(g, args.k, args.mode or "closed")
-        else:
-            build, variant = _GAP_REDUCTIONS[args.name]
-            if args.rho is None:
-                r = build(g, args.k, h=1 if args.h is None else args.h)
-            elif args.h is not None:
-                raise ParseError(
-                    f"--h {args.h} and --rho {args.rho!r} both set the padding; give one"
-                )
-            else:
-                p = choose_gap_padding(
-                    args.k, rho_preset(args.rho), variant, rho_label=args.rho
-                )
-                r = replace(build(g, args.k, h=p.h), params=p)
+        p = choose_gap_padding(args.k, rho_preset(args.rho), variant, rho_label=args.rho)
+        r = replace(build(source, **{**kwargs, "h": p.h}), params=p)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "instance.tss").write_text(write_instance(r.instance), encoding="utf-8")
@@ -325,22 +320,14 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     suite = verify.SUITES[args.suite]
-    kwargs = {}
+    flags = []
     for flag, name, least in _VERIFY_FLAGS:
         value = getattr(args, name)
-        if value is None:
-            continue
-        if least is not None and value < least:
+        if value is not None and least is not None and value < least:
             need = "nonnegative" if least == 0 else f"at least {least}"
             raise ParseError(f"{flag} must be {need}, got {value}")
-        kwargs[name] = value
-    accepted = set(inspect.signature(suite).parameters)
-    unknown = set(kwargs) - accepted
-    if unknown:
-        raise ParseError(
-            f"suite {args.suite!r} does not take {sorted(unknown)}; "
-            f"it accepts {sorted(accepted)}"
-        )
+        flags.append((flag, name, value))
+    kwargs = _keywords(f"{args.suite} suite", suite, flags)
     try:
         passed = suite(**kwargs)
     except verify.Counterexample as cx:

@@ -114,14 +114,17 @@ def choose_gap_padding(
         c2 = comb(k, 2)
         g = k + c2 + 4 * c2 * c2
         x = g
-        prev = None
+        # x/rho(x) is kept as top/bot, both positive, and compared by
+        # cross-multiplying; prev starts at 0/1, below every ratio.
+        prev_top, prev_bot = 0, 1
         while True:
-            r = x / rho_at(x)
-            if prev is not None and r < prev:
+            val = rho_at(x)
+            top, bot = x * val.denominator, val.numerator
+            if top * prev_bot < prev_top * bot:
                 raise ValueError(f"t/rho(t) decreases between t={x - 1} and t={x}")
-            prev = r
-            if r >= g:
+            if top >= g * bot:
                 break
+            prev_top, prev_bot = top, bot
             x += 1
             if x - g > search_limit:
                 raise ValueError(

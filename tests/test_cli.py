@@ -289,6 +289,27 @@ def test_solve_names_the_first_unread_flag(inst_file, capsys):
     assert capsys.readouterr().err == "error: the target-set problem does not take -k\n"
 
 
+@pytest.mark.parametrize("problem", ["k-influence", "unanimity-min-open"])
+def test_solve_missing_k_exits_2_before_reading_input(tmp_path, problem, capsys):
+    src = tmp_path / "p4.tss"
+    src.write_text(P4_UNANIMITY)
+    for path in (src, tmp_path / "missing.tss"):
+        assert main(["solve", "-i", str(path), "--problem", problem]) == 2
+        assert capsys.readouterr() == ("", f"error: the {problem} problem needs -k\n")
+
+
+def test_solve_unset_flags_take_the_solver_defaults(tmp_path, capsys):
+    src = tmp_path / "p4.tss"
+    src.write_text(P4_UNANIMITY)
+    argv = ["solve", "-i", str(src), "--problem", "k-influence", "-k", "2"]
+    assert main(argv) == 0
+    unset = capsys.readouterr()
+    assert main(argv + ["--mode", "closed", "--goal", "max"]) == 0
+    assert capsys.readouterr() == unset
+    assert main(argv + ["--mode", "open", "--goal", "min"]) == 0
+    assert capsys.readouterr() != unset
+
+
 def test_reduce_mcs_writes_three_files(tmp_path, capsys):
     circ = tmp_path / "c.circ"
     circ.write_text(CIRCUIT)
@@ -402,6 +423,39 @@ def test_reduce_is_decision_mode_defaults_to_closed(tmp_path):
         assert main(["reduce", "is-decision", "-i", str(g), "-k", "1", *flag, "-o", str(out)]) == 0
         built[mode] = [(out / f).read_text() for f in ("instance.tss", "params.txt")]
     assert built[None] == built["closed"] != built["open"]
+
+
+@pytest.mark.parametrize("name", ["clique", "is-decision", "is-min-closed"])
+def test_reduce_missing_k_exits_2(tmp_path, name, capsys):
+    g = tmp_path / "g.tss"
+    g.write_text(TWO_PATH)
+    out = tmp_path / "out"
+    assert main(["reduce", name, "-i", str(g), "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: the {name} reduction needs -k\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, k", [("clique", "4"), ("is-min-closed", "1")])
+def test_reduce_h_defaults_to_one(tmp_path, name, k):
+    g = tmp_path / "g.tss"
+    g.write_text(TWO_PATH)
+    built = []
+    for flags in ([], ["--h", "1"]):
+        out = tmp_path / f"out{len(built)}"
+        assert main(["reduce", name, "-i", str(g), "-k", k, *flags, "-o", str(out)]) == 0
+        files = ("instance.tss", "provenance.txt", "params.txt")
+        built.append([(out / f).read_text() for f in files])
+    assert built[0] == built[1]
+
+
+def test_reduce_names_the_first_unread_flag(tmp_path, capsys):
+    circ = tmp_path / "c.circ"
+    circ.write_text(CIRCUIT)
+    out = tmp_path / "out"
+    argv = ["reduce", "mcs", "-i", str(circ), "--mode", "open", "--rho", "const:2", "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: the mcs reduction does not take --rho\n")
+    assert not out.exists()
 
 
 def test_verify_gadget_direction(capsys):
@@ -536,6 +590,20 @@ def test_verify_counterexample_exits_1(monkeypatch, capsys):
 def test_verify_unknown_flag_exits_2(capsys):
     assert main(["verify", "padding", "--trials", "5"]) == 2
     assert "does not take" in capsys.readouterr().err
+
+
+# The first unread flag in `_VERIFY_FLAGS` order, whatever the argv order.
+@pytest.mark.parametrize(
+    "suite, flags, first",
+    [
+        ("padding", "--graphs 5 --trials 5", "--trials"),
+        ("gadget-direction", "--chains 2 --seed 1", "--seed"),
+        ("clique-gap", "--graphs 5 --n 3 --trials 5", "--trials"),
+    ],
+)
+def test_verify_names_the_first_unread_flag(suite, flags, first, capsys):
+    assert main(["verify", suite, *flags.split()]) == 2
+    assert capsys.readouterr() == ("", f"error: the {suite} suite does not take {first}\n")
 
 
 @pytest.mark.parametrize(

@@ -256,6 +256,27 @@ def test_instance_rejects_small_threshold():
         InstanceBuilder().add_vertex(1.5, "x")
 
 
+def test_equal_graphs_and_instances_hash_equal():
+    # Equal objects built along different paths: edge order, orientation,
+    # a parse, and a mapping of thresholds against a sequence.
+    g1 = Graph(3, [(1, 2), (2, 3)])
+    g2 = Graph(3, [(3, 2), (2, 1)])
+    assert g1 is not g2 and g1 == g2 and hash(g1) == hash(g2)
+    i1 = Instance(g1, [1, 2, 1])
+    i2 = parse_instance("tss 3 2\nt 1 1\nt 2 2\nt 3 1\ne 2 3\ne 1 2\n")
+    i3 = Instance(g2, {1: 1, 2: 2, 3: 1})
+    assert i1 == i2 == i3 and hash(i1) == hash(i2) == hash(i3)
+    assert len({i1, i2, i3}) == 1
+    assert len({i1, Instance(g1, [1, 1, 1])}) == 2
+    assert g1 != Graph(3, [(1, 2)]) and i1 != g1
+
+
+def test_graph_and_instance_repr():
+    g = Graph(3, [(1, 2), (2, 3)])
+    assert repr(g) == "Graph(n=3, m=2)"
+    assert repr(Instance(g, [1, 2, 1])) == "Instance(n=3, m=2)"
+
+
 def test_generator_empty_graph_forces_min_threshold():
     for mode in ("constant", "majority", "unanimity", "uniform"):
         cfg = GeneratorConfig(5, 0.0, mode, rng_seed=1, constant=3)
