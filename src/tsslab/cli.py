@@ -308,7 +308,10 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     elif args.h is not None:
         raise ParseError(f"--h {args.h} and --rho {args.rho!r} both set the padding; give one")
     else:
-        p = choose_gap_padding(args.k, rho_preset(args.rho), variant, rho_label=args.rho)
+        try:
+            p = choose_gap_padding(args.k, rho_preset(args.rho), variant, rho_label=args.rho)
+        except ValueError as exc:
+            raise ParseError(f"--rho {args.rho}: {exc}") from None
         r = replace(build(source, **{**kwargs, "h": p.h}), params=p)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)

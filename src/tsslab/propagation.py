@@ -170,10 +170,12 @@ def _rounds(inst: Instance, seed_list: list[int]) -> list[list[int]]:
     """Synchronous round structure from a checked seed: [seed, new-in-round-1, ...].
 
     need[v] is the number of active neighbors v still lacks.  Seeds start at
-    0; a vertex fires in the round its entry reaches 0, and every later
-    decrement drives an active entry negative, so nothing fires twice and no
-    status array, trail or reset is needed.  A round lists its vertices in
-    firing order, unsorted: every caller freezes, counts or unions them.
+    0, and a vertex fires in the round its entry reaches 0.  The process is
+    irreversible, so an entry of 0 marks a settled vertex, seed or fired:
+    a visit reads it and moves on, and no entry ever goes below 0.  So
+    nothing fires twice, and no status array, trail or reset is needed.  A
+    round lists its vertices in firing order, unsorted: every caller
+    freezes, counts or unions them.
     """
     adj = inst.graph.adj
     need = list(inst.thr)
@@ -185,10 +187,12 @@ def _rounds(inst: Instance, seed_list: list[int]) -> list[list[int]]:
         nxt = []
         for u in frontier:
             for w in adj[u]:
-                c = need[w] - 1
-                need[w] = c
-                if not c:
-                    nxt.append(w)
+                c = need[w]
+                if c:
+                    c -= 1
+                    need[w] = c
+                    if not c:
+                        nxt.append(w)
         if not nxt:
             return rounds
         rounds.append(nxt)
@@ -208,11 +212,12 @@ def activate_round(inst: Instance, active: Iterable[int]) -> frozenset[int]:
 @_gc_paused
 def activate(inst: Instance, seed: Iterable[int]) -> PropagationTrace:
     """Run the activation process from `seed` to its unique fixpoint."""
-    frozen = tuple(map(frozenset, _rounds(inst, _check_seed(inst, seed))))
+    rounds = _rounds(inst, _check_seed(inst, seed))
+    frozen = tuple(map(frozenset, rounds))
     return PropagationTrace(
         seed=frozen[0],
         rounds=frozen,
-        final_active=frozenset().union(*frozen),
+        final_active=frozenset().union(*rounds),
         round_count=len(frozen) - 1,
     )
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, log
 from typing import Callable, Iterable
 
 from .circuits import MonotoneCircuit, evaluate
@@ -62,23 +62,68 @@ class GapParameters:
         return cls(variant, k, k + h + 1, h)
 
 
+@dataclass(frozen=True)
+class _Power:
+    """A parsed preset, rho(t) = c * t^d: const:c has d = 0 and linear:c
+    has d = 1.  A fractional d is evaluated in floating point."""
+
+    c: Fraction
+    d: Fraction
+
+    def __call__(self, t: int) -> Fraction:
+        if self.d.denominator == 1:
+            return self.c * t ** int(self.d)
+        return Fraction(float(self.c) * t ** float(self.d))
+
+    def check_reach(self, g: int, search_limit: int) -> None:
+        """Refuse, before any evaluation, a preset whose x/rho(x) clearly
+        cannot reach g on the walk from x = g within `search_limit` steps.
+        Here t/rho(t) = t^(1-d)/c.
+
+        - d >= 1: the ratio never increases, so the walk ends at x = g or
+          not at all.  c <= 0 puts rho(g) below 1, and c*g^floor(d) > 1
+          puts it above 1, which shows within log_g(1/c) + 1 products
+          however large d is.
+        - d < 1: the ratio grows, and reaches g by x = g + search_limit
+          exactly when ln(c*g) <= (1-d)*ln(g + search_limit).  The two
+          sides are compared in floating point with a margin of 1e-6, far
+          above their rounding, so a walk that would end is never refused.
+          For c <= 0 the walk's first point is cheap and says rho < 1.
+        """
+        c, d = self.c, self.d
+        if d >= 1:
+            if c <= 0:
+                raise ValueError(f"rho({g}) = {c}*{g}^({d}) is below 1")
+            top = c
+            for _ in range(int(d)):
+                top *= g
+                if top > 1:
+                    raise ValueError(
+                        f"t/rho(t) never increases and is below g = {g} at t = {g}"
+                    )
+            return
+        if c <= 0:
+            return
+        ln_cg = log(c.numerator) - log(c.denominator) + log(g)
+        if ln_cg > float(1 - d) * log(g + search_limit) + 1e-6:
+            raise ValueError(
+                f"t/rho(t) first reaches g = {g} near t = "
+                f"10^{ln_cg / float(1 - d) / log(10):.1f}, "
+                f"past the search limit of {search_limit} steps"
+            )
+
+
 def rho_preset(label: str) -> Callable[[int], Fraction]:
     """Parse `const:c`, `linear:c`, or `poly:c,d` into a ratio function."""
     name, _, arg = label.partition(":")
     try:
         if name == "const":
-            c = Fraction(arg)
-            return lambda t: c
+            return _Power(Fraction(arg), Fraction(0))
         if name == "linear":
-            c = Fraction(arg)
-            return lambda t: c * t
+            return _Power(Fraction(arg), Fraction(1))
         if name == "poly":
             cs, ds = arg.split(",")
-            c, d = Fraction(cs), Fraction(ds)
-            if d.denominator != 1:
-                cf, df = float(c), float(d)
-                return lambda t: Fraction(cf * t**df)
-            return lambda t: c * t ** int(d)
+            return _Power(Fraction(cs), Fraction(ds))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad rho preset {label!r}")
     raise ValueError(
@@ -99,7 +144,9 @@ def choose_gap_padding(
     Rho must be at least 1 wherever it is evaluated.  The clique variant
     needs t/rho(t) nondecreasing and unbounded; its search for x walks up
     from g, rejecting rho once a sampled ratio decreases or giving up at
-    `search_limit`.  The min-closed variant evaluates rho at k only.
+    `search_limit`.  A `rho_preset` that clearly cannot reach g there is
+    refused before the walk; every walked point is still checked.  The
+    min-closed variant evaluates rho at k only.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -113,6 +160,8 @@ def choose_gap_padding(
     if variant == "clique":
         c2 = comb(k, 2)
         g = k + c2 + 4 * c2 * c2
+        if isinstance(rho, _Power):
+            rho.check_reach(g, search_limit)
         x = g
         # x/rho(x) is kept as top/bot, both positive, and compared by
         # cross-multiplying; prev starts at 0/1, below every ratio.

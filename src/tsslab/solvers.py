@@ -240,10 +240,11 @@ def _singleton_closures(inst: Instance, universe: Sequence[int]) -> list[int]:
     vertices their cascades passed through, so the table is exactly the
     singleton closures.
 
-    Each cascade counts down left[w], the active neighbours w still lacks,
-    as `propagation._rounds` does: a vertex fires when its entry reaches 0,
-    and later bumps drive it negative.  mark[w] == v says left[w] belongs
-    to v's cascade, so no entry is ever reset.
+    Each cascade counts down left[w], the active neighbours w still lacks.
+    The seed starts at 0, w fires when its entry reaches 0, and every later
+    bump drives an active entry negative, so nothing fires twice.
+    mark[w] == v says left[w] belongs to v's cascade, so no entry is ever
+    reset between cascades.
     """
     n = inst.n
     adj = inst.graph.adj

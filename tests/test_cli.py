@@ -359,6 +359,24 @@ def test_reduce_min_closed_rho_below_one_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rho, bound", [
+    ("linear:1", "g = 154"),
+    ("poly:1,1000000", "g = 154"),
+    ("poly:1,100000000", "g = 154"),
+    ("poly:1,0.9", "search limit of 10000000 steps"),
+])
+def test_reduce_clique_unreachable_rho_exits_2_at_once(tmp_path, capsys, rho, bound):
+    g = tmp_path / "g.tss"
+    g.write_text(TWO_PATH)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["reduce", "clique", "-i", str(g), "-k", "4", "--rho", rho, "-o", str(out)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --rho {rho}: ") and bound in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["clique", "is-min-closed"])
 def test_reduce_h_with_rho_exits_2(tmp_path, name, capsys):
     g = tmp_path / "g.tss"

@@ -216,6 +216,39 @@ def test_one_shot_paths_match_naive_oracles():
         assert activate_round(inst, seed) == naive_round(inst, seed)
 
 
+def _constant_two_case(rng):
+    """A constant-threshold-2 G(n, p) draw of mean degree 6-10, with some
+    thresholds raised above the degree, a few isolated vertices appended,
+    and a random seed that may hold isolated vertices."""
+    n = rng.randint(200, 400)
+    draw = generate_random(
+        GeneratorConfig(n, rng.uniform(6, 10) / (n - 1), "constant", rng.randrange(2**32), 2)
+    )
+    thr = list(draw.thr[1:])
+    for v in rng.sample(range(1, n + 1), n // 20):
+        thr[v - 1] = draw.graph.degree(v) + rng.randint(1, 2)
+    isolated = rng.randint(1, 5)
+    inst = Instance(Graph(n + isolated, draw.graph.edges), thr + [1] * isolated)
+    seed = rng.sample(range(1, inst.n + 1), rng.randint(1, n // 8))
+    return inst, seed
+
+
+def test_one_shot_paths_match_naive_oracles_on_large_constant_two_cascades():
+    # Most neighbour visits of these cascades reach vertices that are
+    # already active, which small instances rarely exercise.
+    rng = random.Random(1403)
+    largest = 0
+    for _ in range(24):
+        inst, seed = _constant_two_case(rng)
+        closure = naive_closure(inst, seed)
+        largest = max(largest, len(closure) / inst.n)
+        assert list(activate(inst, seed).rounds) == naive_rounds(inst, seed)
+        assert is_target_set(inst, seed) == naive_is_target_set(inst, seed)
+        assert influence(inst, seed, "closed") == len(closure)
+        assert influence(inst, seed, "open") == len(closure - set(seed))
+    assert largest > 0.5
+
+
 def test_push_rejects_out_of_range_vertex():
     prop = Propagator(path(3))
     for v in (0, 4, -1):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -161,6 +162,38 @@ def test_padding_rejects_decreasing_rho():
 def test_padding_rejects_bounded_growth():
     with pytest.raises(ValueError):
         choose_gap_padding(4, rho_preset("linear:1"), "clique", search_limit=5000)
+
+
+@pytest.mark.parametrize("label, bound", [
+    ("linear:1", "never increases and is below g = 154"),
+    ("linear:3/2", "never increases and is below g = 154"),
+    ("poly:1,2", "never increases and is below g = 154"),
+    ("poly:1,100000000", "never increases and is below g = 154"),
+    ("poly:1,1000.5", "never increases and is below g = 154"),
+    ("poly:1,0.9", "past the search limit of 10000000 steps"),
+    ("const:100000", "past the search limit of 10000000 steps"),
+    ("poly:-1,100000000", r"rho\(154\) = -1\*154\^\(100000000\) is below 1"),
+])
+def test_padding_refuses_unreachable_presets_before_walking(label, bound):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=bound):
+        choose_gap_padding(4, rho_preset(label), "clique")
+    assert time.perf_counter() - start < 1
+
+
+def test_padding_refusal_agrees_with_the_walk_at_its_edge():
+    # const:c reaches g = 154 at x = 154c, so the walk ends within 1000
+    # steps exactly when 154c <= 1154; the plain callable always walks.
+    assert choose_gap_padding(4, rho_preset("const:1154/154"), "clique", search_limit=1000).x == 1154
+    for rho in (rho_preset("const:1155/154"), lambda t: Fraction(1155, 154)):
+        with pytest.raises(ValueError, match="1000 steps"):
+            choose_gap_padding(4, rho, "clique", search_limit=1000)
+
+
+@pytest.mark.parametrize("label, x", [("linear:1/154", 154), ("poly:1/23716,2", 154)])
+def test_padding_keeps_presets_that_reach_g_at_once(label, x):
+    # rho(g) = 1 exactly, so x/rho(x) meets g at the walk's first point.
+    assert choose_gap_padding(4, rho_preset(label), "clique").x == x
 
 
 @pytest.mark.parametrize("variant", ["clique", "min-closed"])
