@@ -28,6 +28,7 @@ from .instance import (
 from .gadgets import ReducedInstance, reduce_thresholds_to_two
 from .propagation import PropagationTrace, activate
 from .reductions import (
+    BuildSizeError,
     choose_gap_padding,
     clique_to_max_influence,
     is_to_influence_decision,
@@ -303,16 +304,24 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         ("--mode", "mode", args.mode),
     ))
     source = read(_read(args.input))
-    if args.rho is None:
-        r = build(source, **kwargs)
-    elif args.h is not None:
-        raise ParseError(f"--h {args.h} and --rho {args.rho!r} both set the padding; give one")
-    else:
+    padding = None if args.h is None else f"--h {args.h}"
+    if args.rho is not None:
+        if args.h is not None:
+            raise ParseError(f"--h {args.h} and --rho {args.rho!r} both set the padding; give one")
+        padding = f"--rho {args.rho}"
         try:
             p = choose_gap_padding(args.k, rho_preset(args.rho), variant, rho_label=args.rho)
         except ValueError as exc:
-            raise ParseError(f"--rho {args.rho}: {exc}") from None
-        r = replace(build(source, **{**kwargs, "h": p.h}), params=p)
+            raise ParseError(f"{padding}: {exc}") from None
+        kwargs["h"] = p.h
+    try:
+        r = build(source, **kwargs)
+    except BuildSizeError as exc:
+        if padding is None:
+            raise
+        raise ParseError(f"{padding}: {exc}") from None
+    if args.rho is not None:
+        r = replace(r, params=p)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "instance.tss").write_text(write_instance(r.instance), encoding="utf-8")

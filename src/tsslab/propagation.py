@@ -6,11 +6,18 @@ active after round i.  The process is a closure operator: monotone in the
 seed, idempotent, and it reaches its fixpoint within |V| rounds.
 
 Every one-shot run (`activate`, `activate_round`, `is_target_set`,
-`influence`) goes through one countdown kernel, `_rounds`.
-The `Propagator` journal serves only the internal levels of the exhaustive
-scans, which push and pop seeds around a shared prefix; a scan's leaves,
-the target-set kernel and the greedy heuristic's candidates ask
-`Propagator.gain`, which leaves the journal alone.
+`influence`) goes through one kernel, `_rounds`.  The `Propagator` journal
+serves only the internal levels of the exhaustive scans, which push and
+pop seeds around a shared prefix; a scan's leaves, the target-set kernel
+and the greedy heuristic's candidates ask `Propagator.gain`, which leaves
+the journal alone.
+
+Both keep one countdown list and no status array: need[v] is the number
+of active neighbours v still lacks, and need[v] == 0 exactly when v is
+active.  A seed's entry is set to 0, and a vertex fires when a count-down
+brings its entry to 0.  A visit reads the neighbour's entry once and
+skips it when it is 0, so a settled vertex, seed or fired, is read but
+never written, no entry goes below 0, and nothing fires twice.
 
 `activate` runs with the cyclic garbage collector paused, as
 `tsslab.instance` describes; `influence` and `is_target_set` do not.
@@ -59,101 +66,134 @@ def _check_seed(inst: Instance, seed: Iterable[int]) -> list[int]:
 class Propagator:
     """Incremental activation engine bound to one immutable instance.
 
-    Keeps per-vertex active-neighbor counters and an activation stack so
-    each push/pop pair costs O(work actually done).  push_one/pop_to form an
-    undo journal, which the internal levels of exhaustive seed-set scans use
-    to share the propagation work of common prefixes.  `gain` answers what
-    one more seed would activate without a journal entry, which is how scan
-    leaves, the target-set kernel and greedy candidates are evaluated.
-    Not thread-safe: use one Propagator per thread.
+    The state is the module's countdown list, need[v] == 0 exactly when v
+    is active, plus the activation list.  need starts at thr(v), capped at
+    deg(v) + 1, which no neighbour count reaches either.  push_one/pop_to
+    form an undo journal, which the internal levels of exhaustive seed-set
+    scans use to share the propagation work of common prefixes: the trail
+    lists every count-down, a seed's own countdown to 0 included (the seed
+    once per unit), so pop_to only adds the trail back and cuts the
+    activation list.  `gain` answers what one more seed would activate
+    without a journal entry, which is how scan leaves, the target-set
+    kernel and greedy candidates are evaluated.  A limit on either, on the
+    active count or on the answer's length, stops the cascade there.  Not
+    thread-safe: use one Propagator per thread.
     """
 
-    __slots__ = ("n", "_adj", "_thr", "_status", "_count", "_active", "_trail")
+    __slots__ = ("n", "_adj", "_need", "_active", "_trail")
 
     def __init__(self, inst: Instance):
         self.n = inst.n
-        self._adj = inst.graph.adj
-        self._thr = inst.thr
-        self._status = bytearray(inst.n + 1)
-        self._count = [0] * (inst.n + 1)
+        self._adj = adj = inst.graph.adj
+        self._need = [t if t <= len(a) else len(a) + 1 for t, a in zip(inst.thr, adj)]
         self._active: list[int] = []
         self._trail: list[int] = []
 
-    def push_one(self, v: int) -> tuple[int, int]:
-        """Activate v (if inactive) and cascade to the fixpoint."""
+    def push_one(self, v: int, limit: int | None = None) -> tuple[int, int]:
+        """Activate v (if inactive) and cascade to the fixpoint.
+
+        With a limit, the cascade stops once `limit` vertices are active
+        (the seed always fires), which leaves the engine fit only for
+        active_count and pop_to.
+        """
         if not 0 < v <= self.n:
             raise ValueError(f"seed vertex {v} out of range 1..{self.n}")
-        token = (len(self._active), len(self._trail))
-        if not self._status[v]:
-            self._cascade(v, self._active, self._trail)
+        trail = self._trail
+        token = (len(self._active), len(trail))
+        c = self._need[v]
+        if c:
+            trail += [v] * c
+            if limit is None:
+                self._cascade(v, self._active, trail)
+            else:
+                self._cascade_to(v, self._active, trail, limit)
         return token
 
-    def gain(self, v: int) -> tuple[int, ...]:
-        """Vertices push_one(v) would activate, in the same order.
+    def gain(self, v: int, limit: int | None = None) -> tuple[int, ...]:
+        """Vertices push_one(v) would activate, in the same order; with a
+        limit, only the first `limit` of them, and at least v.
 
         The engine is left exactly as it was and no journal entry is made:
-        when no inactive neighbor of v is one bump short of its threshold,
-        the answer is (v,) without a write; otherwise the cascade runs into
+        when no neighbour of v lacks exactly one active neighbour, the
+        answer is (v,) without a write; otherwise the cascade runs into
         local lists and is undone from them.
         """
         if not 0 < v <= self.n:
             raise ValueError(f"seed vertex {v} out of range 1..{self.n}")
-        status = self._status
-        if status[v]:
+        need = self._need
+        c = need[v]
+        if not c:
             return ()
-        thr = self._thr
-        count = self._count
         for w in self._adj[v]:
-            if not status[w] and count[w] + 1 == thr[w]:
+            if need[w] == 1:
                 break
         else:
             return (v,)
         new: list[int] = []
-        bumped: list[int] = []
-        self._cascade(v, new, bumped)
-        for w in bumped:
-            count[w] -= 1
-        for w in new:
-            status[w] = 0
+        trail: list[int] = []
+        if limit is None:
+            self._cascade(v, new, trail)
+        else:
+            self._cascade_to(v, new, trail, limit)
+        for w in trail:
+            need[w] += 1
+        need[v] = c
         return tuple(new)
 
     def _cascade(self, v: int, active: list[int], trail: list[int]) -> None:
         """Activate the inactive vertex v and everything it sets off,
-        appending each activation to `active` and each counter bump to
+        appending each activation to `active` and each count-down to
         `trail`."""
         adj = self._adj
-        thr = self._thr
-        status = self._status
-        count = self._count
-        status[v] = 1
+        need = self._need
+        need[v] = 0
         active.append(v)
         stack = [v]
         while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if status[w]:
-                    continue
-                c = count[w] + 1
-                count[w] = c
-                trail.append(w)
-                if c == thr[w]:
-                    status[w] = 1
-                    active.append(w)
-                    stack.append(w)
+            for w in adj[stack.pop()]:
+                c = need[w]
+                if c:
+                    c -= 1
+                    need[w] = c
+                    trail.append(w)
+                    if not c:
+                        active.append(w)
+                        stack.append(w)
+
+    def _cascade_to(self, v: int, active: list[int], trail: list[int], limit: int) -> None:
+        """`_cascade`, stopped once `active` holds `limit` vertices.  A
+        separate copy keeps the unbounded loop free of the test."""
+        adj = self._adj
+        need = self._need
+        need[v] = 0
+        active.append(v)
+        room = limit - len(active)
+        if room <= 0:
+            return
+        stack = [v]
+        while stack:
+            for w in adj[stack.pop()]:
+                c = need[w]
+                if c:
+                    c -= 1
+                    need[w] = c
+                    trail.append(w)
+                    if not c:
+                        active.append(w)
+                        room -= 1
+                        if not room:
+                            return
+                        stack.append(w)
 
     def pop_to(self, token: tuple[int, int]) -> None:
-        """Undo every activation and counter bump made since `token`."""
+        """Undo every activation and count-down made since `token`."""
         la, lt = token
-        count = self._count
+        need = self._need
         trail = self._trail
         for w in trail[lt:]:
-            count[w] -= 1
+            need[w] += 1
         del trail[lt:]
-        status = self._status
-        active = self._active
-        for w in active[la:]:
-            status[w] = 0
-        del active[la:]
+        del self._active[la:]
 
     def active_count(self) -> int:
         return len(self._active)
@@ -169,13 +209,10 @@ class Propagator:
 def _rounds(inst: Instance, seed_list: list[int]) -> list[list[int]]:
     """Synchronous round structure from a checked seed: [seed, new-in-round-1, ...].
 
-    need[v] is the number of active neighbors v still lacks.  Seeds start at
-    0, and a vertex fires in the round its entry reaches 0.  The process is
-    irreversible, so an entry of 0 marks a settled vertex, seed or fired:
-    a visit reads it and moves on, and no entry ever goes below 0.  So
-    nothing fires twice, and no status array, trail or reset is needed.  A
-    round lists its vertices in firing order, unsorted: every caller
-    freezes, counts or unions them.
+    On a fresh countdown list (see the module docstring), a vertex fires in
+    the round its entry reaches 0; the list is thrown away after, so no
+    trail or reset is needed.  A round lists its vertices in firing order,
+    unsorted: every caller freezes, counts or unions them.
     """
     adj = inst.graph.adj
     need = list(inst.thr)

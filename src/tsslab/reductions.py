@@ -19,6 +19,15 @@ RHO_PRESETS = ("const", "linear", "poly")
 
 X_SEARCH_LIMIT = 10_000_000
 
+# The gap builders refuse, before building anything, an instance of more
+# vertices plus edges than this.  One of that size builds in about half a
+# second, in about 200 MB, on a 2-CPU x86-64 machine.
+BUILD_SIZE_LIMIT = 1_000_000
+
+
+class BuildSizeError(ValueError):
+    """A gap build refused for its size (`BUILD_SIZE_LIMIT`)."""
+
 
 @dataclass(frozen=True)
 class GapParameters:
@@ -73,7 +82,10 @@ class _Power:
     def __call__(self, t: int) -> Fraction:
         if self.d.denominator == 1:
             return self.c * t ** int(self.d)
-        return Fraction(float(self.c) * t ** float(self.d))
+        try:
+            return Fraction(float(self.c) * t ** float(self.d))
+        except OverflowError:
+            raise ValueError(f"rho({t}) = {self.c}*{t}^({self.d}) overflows a float") from None
 
     def check_reach(self, g: int, search_limit: int) -> None:
         """Refuse, before any evaluation, a preset whose x/rho(x) clearly
@@ -193,6 +205,33 @@ def choose_gap_padding(
     raise ValueError(f"unknown gap variant {variant!r}")
 
 
+def _gap_build_size(variant: str, g: Graph, k: int, h: int) -> tuple[int, int]:
+    """Vertex and edge counts of `clique_to_max_influence(g, k, h=h)` or
+    `is_to_min_closed_influence(g, k, h=h)`, from their layouts.
+
+    Clique: n + m incidence vertices and 2m edges, h*C(k,2) z vertices,
+    and m*C(k,2) + (h-1)*C(k,2)^2 directed edge gadgets of 4 vertices and
+    6 edges each.  Min-closed: n + r*m incidence vertices and 2*r*m edges,
+    with r = max(1, k-1), and h triggers of r*m edges each.
+    """
+    n, m = g.n, g.m
+    if variant == "clique":
+        c2 = comb(k, 2)
+        gadgets = m * c2 + (h - 1) * c2 * c2
+        return n + m + h * c2 + 4 * gadgets, 2 * m + 6 * gadgets
+    r = max(1, k - 1)
+    return n + r * m + h, (2 + h) * r * m
+
+
+def _check_build_size(variant: str, g: Graph, k: int, h: int) -> None:
+    vertices, edges = _gap_build_size(variant, g, k, h)
+    if vertices + edges > BUILD_SIZE_LIMIT:
+        raise BuildSizeError(
+            f"the {variant} build would have {vertices} vertices and {edges} edges, "
+            f"above the budget of {BUILD_SIZE_LIMIT} vertices plus edges"
+        )
+
+
 def mcs_to_tss(c: MonotoneCircuit) -> ReducedInstance:
     """Compile a monotone circuit into a target-set instance whose minimum
     target set size equals the circuit's minimum satisfying weight.
@@ -294,11 +333,14 @@ def clique_to_max_influence(g: Graph, k: int, *, h: int = 1) -> ReducedInstance:
     Layout: vertex side (threshold = source degree), edge side (threshold
     2), then the z layers (threshold C(k,2)), then gadget interiors.
     Requires k >= 4 so that k < C(k,2).  h defaults to 1; the result's
-    params are `GapParameters.with_h(k, h, "clique")`.
+    params are `GapParameters.with_h(k, h, "clique")`.  A build of more
+    than `BUILD_SIZE_LIMIT` vertices plus edges is refused before it
+    starts.
     """
     if k < 4:
         raise ValueError("clique construction requires k >= 4")
     params = GapParameters.with_h(k, h, "clique")
+    _check_build_size("clique", g, k, h)
 
     c2 = comb(k, 2)
     b = InstanceBuilder()
@@ -364,11 +406,14 @@ def is_to_min_closed_influence(g: Graph, k: int, *, h: int = 1) -> ReducedInstan
     h + r*m + 2 >= k + h + 1 vertices.  For h = 1
     a case check on where the seed lies gives the same bound.  Degree-0
     source vertices need no special care.  h defaults to 1; the result's
-    params are `GapParameters.with_h(k, h, "min-closed")`.
+    params are `GapParameters.with_h(k, h, "min-closed")`.  A build of more
+    than `BUILD_SIZE_LIMIT` vertices plus edges is refused before it
+    starts.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must lie in 1..{g.n}")
     params = GapParameters.with_h(k, h, "min-closed")
+    _check_build_size("min-closed", g, k, h)
 
     b = InstanceBuilder()
     edge_vertex = _incidence_layer(b, g, lambda v: 1, max(1, k - 1))

@@ -111,7 +111,14 @@ def _search(
 
     - Prefix bound.  A closure only grows as seeds are added, so a prefix
       whose closure, less the offset, already reaches the best value holds
-      no strictly better seed.
+      no strictly better seed.  Once there is an incumbent, a push stops
+      cascading when the active count reaches best + offset, and a leaf's
+      `gain` when its length reaches best - |cl(prefix)| + offset.  This
+      is exact: a stopped count already reaches the bound, as the full
+      closure would, so the child's prefix test prunes it and the leaf is
+      no improvement (it cannot reach the stop value either, which lies
+      below the best), while a cascade that does not stop is the full
+      one; pop_to restores everything a stopped push did.
     - Singleton floor, from the first c >= 2 on.  A candidate v is skipped
       unpushed when |cl({v})| - offset reaches the best value: every seed
       holding v closes to a superset of cl({v}).  The table
@@ -141,7 +148,7 @@ def _search(
                     continue
             elif floor is not None and best_v is not None and floor[v] - offset >= best_v:
                 continue
-            new = gain(v)
+            new = gain(v) if maximize or best_v is None else gain(v, best_v - base)
             explored += 1
             val = base + len(new)
             if best_v is None or (val > best_v if maximize else val < best_v):
@@ -192,7 +199,7 @@ def _search(
                     continue
             elif floor is not None and best_v is not None and floor[v] - offset >= best_v:
                 continue
-            token = prop.push_one(v)
+            token = prop.push_one(v, None if maximize or best_v is None else best_v + offset)
             combo.append(v)
             halt = rec(i + 1, u - need + 2, need - 1)
             combo.pop()

@@ -377,6 +377,25 @@ def test_reduce_clique_unreachable_rho_exits_2_at_once(tmp_path, capsys, rho, bo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, flags, message", [
+    ("is-min-closed", ["--rho", "poly:1,1100.5"], "overflows a float"),
+    ("clique", ["--h", "10000000"], "above the budget of 1000000 vertices plus edges"),
+    ("is-min-closed", ["--h", "10000000"], "above the budget of 1000000 vertices plus edges"),
+    ("is-min-closed", ["--rho", "const:1000000000"], "above the budget of 1000000 vertices plus edges"),
+])
+def test_reduce_oversized_padding_exits_2_at_once(tmp_path, capsys, name, flags, message):
+    g = tmp_path / "g.tss"
+    g.write_text(TWO_PATH)
+    out = tmp_path / "out"
+    k = "4" if name == "clique" else "2"
+    start = time.perf_counter()
+    assert main(["reduce", name, "-i", str(g), "-k", k, *flags, "-o", str(out)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {' '.join(flags)}: ") and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["clique", "is-min-closed"])
 def test_reduce_h_with_rho_exits_2(tmp_path, name, capsys):
     g = tmp_path / "g.tss"

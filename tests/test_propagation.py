@@ -261,8 +261,8 @@ def test_push_rejects_out_of_range_vertex():
 
 
 def _count_writes(prop):
-    """Swap the engine's counter and status arrays for copies that count
-    item writes; returns the one-element tally."""
+    """Swap the engine's countdown list for a copy that counts item
+    writes; returns the one-element tally."""
     writes = [0]
 
     class Counts(list):
@@ -270,20 +270,14 @@ def _count_writes(prop):
             writes[0] += 1
             super().__setitem__(i, x)
 
-    class Status(bytearray):
-        def __setitem__(self, i, x):
-            writes[0] += 1
-            super().__setitem__(i, x)
-
-    prop._count = Counts(prop._count)
-    prop._status = Status(prop._status)
+    prop._need = Counts(prop._need)
     return writes
 
 
 def _snapshot(prop):
-    """What gain and pop_to must leave or restore: the bump trail's length,
-    the activation order, the counters and the status bytes."""
-    return len(prop._trail), prop.activated_since((0, 0)), list(prop._count), bytes(prop._status)
+    """What gain and pop_to must leave or restore: the trail's length, the
+    activation order and the countdown list."""
+    return len(prop._trail), prop.activated_since((0, 0)), list(prop._need)
 
 
 def test_gain_matches_push():
@@ -313,3 +307,41 @@ def test_gain_matches_push():
             with pytest.raises(ValueError):
                 prop.gain(bad)
         assert _snapshot(prop) == state
+
+
+def test_bounded_push_is_undone_exactly():
+    rng = random.Random(31)
+    stopped = 0
+    for _ in range(200):
+        inst, _ = _kernel_case(rng)
+        prop = Propagator(inst)
+        for v in random_seed_set(rng, inst.n, rng.random() * 0.4):
+            prop.push_one(v)
+        state = _snapshot(prop)
+        base = prop.active_count()
+        for v in range(1, inst.n + 1):
+            full = prop.gain(v)
+            limit = rng.randint(base, inst.n + 1)
+            token = prop.push_one(v, limit)
+            # The seed always fires; the cascade stops once `limit`
+            # vertices are active, in the unbounded push's order.
+            assert prop.activated_since(token) == list(full[: max(limit - base, 1)])
+            stopped += prop.active_count() - base < len(full)
+            prop.pop_to(token)
+            assert _snapshot(prop) == state
+    assert stopped > 100
+
+
+def test_bounded_gain_is_a_prefix_of_gain():
+    rng = random.Random(37)
+    for _ in range(150):
+        inst, _ = _kernel_case(rng)
+        prop = Propagator(inst)
+        for v in random_seed_set(rng, inst.n, rng.random() * 0.4):
+            prop.push_one(v)
+        state = _snapshot(prop)
+        for v in range(1, inst.n + 1):
+            full = prop.gain(v)
+            limit = rng.randint(0, len(full) + 1)
+            assert prop.gain(v, limit) == full[: max(limit, 1)]
+            assert _snapshot(prop) == state

@@ -9,7 +9,10 @@ from tsslab.circuits import build_circuit, evaluate, min_weight_satisfying
 from tsslab.instance import Graph
 from tsslab.propagation import activate, influence, is_target_set
 from tsslab.reductions import (
+    BUILD_SIZE_LIMIT,
+    BuildSizeError,
     GapParameters,
+    _gap_build_size,
     choose_gap_padding,
     clique_to_max_influence,
     is_to_influence_decision,
@@ -218,6 +221,18 @@ def test_rho_preset_fractional_exponent():
     assert (p.g, p.x, p.h) == (154, 154**2, 159)
 
 
+@pytest.mark.parametrize("variant, label", [
+    ("min-closed", "poly:1,1100.5"),
+    ("min-closed", "poly:2,3000.25"),
+    # c*g^1000 <= 1 passes the clique variant's early refusal, so the walk
+    # evaluates rho(154).
+    ("clique", "poly:1e-2200,1000.5"),
+])
+def test_padding_refuses_a_float_overflow(variant, label):
+    with pytest.raises(ValueError, match="overflows a float"):
+        choose_gap_padding(2 if variant == "min-closed" else 4, rho_preset(label), variant)
+
+
 @pytest.mark.parametrize("label", ["poly:1", "const:x"])
 def test_rho_preset_malformed_argument_names_preset(label):
     with pytest.raises(ValueError, match=f"^bad rho preset '{label}'$"):
@@ -390,3 +405,42 @@ def test_gap_parameters_validation():
         GapParameters("clique", 4, 154, 0)
     with pytest.raises(ValueError):
         GapParameters("other", 4, 154, 1)
+
+
+# build size ---------------------------------------------------------------------
+
+
+def test_gap_build_size_counts_the_built_instance():
+    rng = random.Random(15)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 9), rng.random())
+        h = rng.randint(1, 4)
+        if g.n >= 4:
+            k = rng.randint(4, 6)
+            inst = clique_to_max_influence(g, k, h=h).instance
+            assert _gap_build_size("clique", g, k, h) == (inst.n, inst.m)
+        k = rng.randint(1, g.n)
+        inst = is_to_min_closed_influence(g, k, h=h).instance
+        assert _gap_build_size("min-closed", g, k, h) == (inst.n, inst.m)
+
+
+@pytest.mark.parametrize("build, k, h", [
+    (clique_to_max_influence, 4, 10**7),
+    (is_to_min_closed_influence, 2, 10**7),
+    # const:1000000000 at k = 2 pads with h = 1999999997.
+    (is_to_min_closed_influence, 2, choose_gap_padding(2, rho_preset("const:1000000000"), "min-closed").h),
+])
+def test_gap_builders_refuse_oversized_builds_at_once(build, k, h):
+    g = k_complete(4)
+    start = time.perf_counter()
+    with pytest.raises(BuildSizeError, match=f"above the budget of {BUILD_SIZE_LIMIT} vertices plus edges"):
+        build(g, k, h=h)
+    assert time.perf_counter() - start < 1
+
+
+def test_gap_build_budget_edge():
+    g = k_complete(4)  # the min-closed build at k = 2 has 10 + h + 6(2 + h)
+    h = (BUILD_SIZE_LIMIT - 22) // 7
+    assert sum(_gap_build_size("min-closed", g, 2, h)) <= BUILD_SIZE_LIMIT
+    with pytest.raises(BuildSizeError):
+        is_to_min_closed_influence(g, 2, h=h + 1)

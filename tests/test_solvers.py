@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import time
 from itertools import combinations
@@ -704,6 +705,30 @@ def test_min_floor_matches_brute_force():
             res = k_influence(inst, 0, mode, "min")
             ref = naive_min_scan(inst, range(1, inst.n + 1), [0], mode == "closed")
             assert (res.value, res.seed, res.explored) == ref, (inst.n, mode)
+
+
+# min-goal results pinned across engine changes ------------------------------
+
+# sha256 of every (value, witness, explored) of test_min_goal_results_are_pinned,
+# recorded before the scan engine kept one countdown list and bounded its
+# min-goal pushes at the incumbent.
+MIN_GOAL_DIGEST = "564385a80c38c842b4eea034ecf62c7446e324d03c03b8b81fab06b363f16953"
+
+
+def test_min_goal_results_are_pinned():
+    rng = random.Random(2525)
+    cases = [random_instance(rng, 16) for _ in range(150)]
+    for _ in range(40):
+        g = random_graph_min_degree_one(rng, 4, 8)
+        k = rng.randint(1, min(4, g.n))
+        cases.append(is_to_min_closed_influence(g, k, h=rng.randint(1, 3)).instance)
+    digest = hashlib.sha256()
+    for inst in cases:
+        for mode in ("open", "closed"):
+            for k in range(1, min(4, inst.n) + 1):
+                r = k_influence(inst, k, mode, "min")
+                digest.update(repr((r.value, sorted(r.seed), r.explored)).encode())
+    assert digest.hexdigest() == MIN_GOAL_DIGEST
 
 
 # scan state freed on return ------------------------------------------------
