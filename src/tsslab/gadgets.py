@@ -18,6 +18,11 @@ without re-validating them.  Thresholds are checked as `add_vertex` and
 `set_threshold` take them, so `build()` does not check them again either.
 A rejected builder call leaves the builder unchanged.
 
+Every builder of a whole instance, here and in `tsslab.reductions`,
+computes its vertex and edge counts from its layout first and refuses
+more than `BUILD_SIZE_LIMIT` vertices plus edges with `BuildSizeError`
+before it builds anything.
+
 The builder keeps its edges as one flat list of endpoints, u0, v0, u1,
 v1, ..., with u < v in each pair: ints are not tracked by the cyclic
 garbage collector, so a build allocates no tracked object per edge before
@@ -36,6 +41,22 @@ from typing import Iterable, Sequence
 
 from .circuits import MonotoneCircuit
 from .instance import Graph, Instance
+
+# One build of this many vertices plus edges takes about half a second and
+# 200 MB on a 2-CPU x86-64 machine.
+BUILD_SIZE_LIMIT = 1_000_000
+
+
+class BuildSizeError(ValueError):
+    """A build refused for its size (`BUILD_SIZE_LIMIT`)."""
+
+
+def _check_build_size(name: str, vertices: int, edges: int) -> None:
+    if vertices + edges > BUILD_SIZE_LIMIT:
+        raise BuildSizeError(
+            f"the {name} build would have {vertices} vertices and {edges} edges, "
+            f"above the budget of {BUILD_SIZE_LIMIT} vertices plus edges"
+        )
 
 
 @dataclass
@@ -207,6 +228,23 @@ def _check_threshold(threshold: int) -> None:
         raise ValueError(f"threshold {threshold} below 1")
 
 
+def _threshold_build_size(inst: Instance) -> tuple[int, int]:
+    """Vertex and edge counts of `reduce_thresholds_to_two(inst)`, from its
+    layout: the n original vertices, a relay (4 vertices, 6 edges) from
+    each neighbour of a vertex of threshold at most 2, and for a vertex of
+    degree d and threshold in 3..d an activation gadget of d^2 cells and
+    2d^2 - d + 1 relays."""
+    relays = cells = 0
+    for t, nbrs in zip(inst.thr[1:], inst.graph.adj[1:]):
+        d = len(nbrs)
+        if t <= 2:
+            relays += d
+        elif t <= d:
+            relays += 2 * d * d - d + 1
+            cells += d * d
+    return inst.n + cells + 4 * relays, 6 * relays
+
+
 def reduce_thresholds_to_two(inst: Instance) -> ReducedInstance:
     """Rewrite an instance so every threshold is 1 or 2 and the graph is
     bipartite, preserving the minimum target set size exactly.
@@ -218,8 +256,11 @@ def reduce_thresholds_to_two(inst: Instance) -> ReducedInstance:
     whose threshold exceeds both 2 and its degree can never activate unless
     seeded; it keeps that behavior with threshold 2 and no incoming
     machinery.  back_map projects gadget vertices onto the vertex whose
-    machinery they serve, chained down to an original vertex.
+    machinery they serve, chained down to an original vertex.  A build of
+    more than `BUILD_SIZE_LIMIT` vertices plus edges is refused before it
+    starts.
     """
+    _check_build_size("thresholds-to-two", *_threshold_build_size(inst))
     b = InstanceBuilder()
     n = inst.n
     for v in range(1, n + 1):

@@ -11,23 +11,20 @@ from math import comb, log
 from typing import Callable, Iterable
 
 from .circuits import MonotoneCircuit, evaluate
-from .gadgets import InstanceBuilder, ReducedInstance
+# Re-exported: the size budget and its error are shared by every builder.
+from .gadgets import (
+    BUILD_SIZE_LIMIT,
+    BuildSizeError,
+    InstanceBuilder,
+    ReducedInstance,
+    _check_build_size,
+)
 from .instance import Graph
 from .propagation import is_target_set
 
 RHO_PRESETS = ("const", "linear", "poly")
 
 X_SEARCH_LIMIT = 10_000_000
-
-# The gap builders refuse, before building anything, an instance of more
-# vertices plus edges than this.  One of that size builds in about half a
-# second, in about 200 MB, on a 2-CPU x86-64 machine.
-BUILD_SIZE_LIMIT = 1_000_000
-
-
-class BuildSizeError(ValueError):
-    """A gap build refused for its size (`BUILD_SIZE_LIMIT`)."""
-
 
 @dataclass(frozen=True)
 class GapParameters:
@@ -212,7 +209,8 @@ def _gap_build_size(variant: str, g: Graph, k: int, h: int) -> tuple[int, int]:
     Clique: n + m incidence vertices and 2m edges, h*C(k,2) z vertices,
     and m*C(k,2) + (h-1)*C(k,2)^2 directed edge gadgets of 4 vertices and
     6 edges each.  Min-closed: n + r*m incidence vertices and 2*r*m edges,
-    with r = max(1, k-1), and h triggers of r*m edges each.
+    with r = max(1, k-1), and h triggers of r*m edges each; at h = 0 that
+    is `is_to_influence_decision(g, k)`, the incidence layer alone.
     """
     n, m = g.n, g.m
     if variant == "clique":
@@ -223,13 +221,15 @@ def _gap_build_size(variant: str, g: Graph, k: int, h: int) -> tuple[int, int]:
     return n + r * m + h, (2 + h) * r * m
 
 
-def _check_build_size(variant: str, g: Graph, k: int, h: int) -> None:
-    vertices, edges = _gap_build_size(variant, g, k, h)
-    if vertices + edges > BUILD_SIZE_LIMIT:
-        raise BuildSizeError(
-            f"the {variant} build would have {vertices} vertices and {edges} edges, "
-            f"above the budget of {BUILD_SIZE_LIMIT} vertices plus edges"
-        )
+def _mcs_build_size(c: MonotoneCircuit) -> tuple[int, int]:
+    """Vertex and edge counts of `mcs_to_tss(c)`, from its layout: the n
+    inputs, n + 1 copies of each gate, and n + 1 copies of a directed edge
+    gadget (4 vertices, 6 edges) per wire, plus, when the output is a
+    gate, one from each output copy to each input."""
+    n = c.n_inputs
+    wires = sum(map(len, c.preds)) + (n if c.kinds[c.output] != "input" else 0)
+    gadgets = (n + 1) * wires
+    return n + (n + 1) * (c.n_nodes - n) + 4 * gadgets, 6 * gadgets
 
 
 def mcs_to_tss(c: MonotoneCircuit) -> ReducedInstance:
@@ -240,8 +240,11 @@ def mcs_to_tss(c: MonotoneCircuit) -> ReducedInstance:
     every replicated output fires back at them, or by seeding); n+1 merged
     copies of every gate (and-gates demand all their wires, or-gates any
     one); every circuit wire becomes a directed edge gadget, replicated per
-    copy; and each copy's output feeds a gadget back into every input.
+    copy; and each copy's output feeds a gadget back into every input.  A
+    build of more than `BUILD_SIZE_LIMIT` vertices plus edges is refused
+    before it starts.
     """
+    _check_build_size("mcs", *_mcs_build_size(c))
     n = c.n_inputs
     copies = n + 1
     b = InstanceBuilder()
@@ -340,7 +343,7 @@ def clique_to_max_influence(g: Graph, k: int, *, h: int = 1) -> ReducedInstance:
     if k < 4:
         raise ValueError("clique construction requires k >= 4")
     params = GapParameters.with_h(k, h, "clique")
-    _check_build_size("clique", g, k, h)
+    _check_build_size("clique", *_gap_build_size("clique", g, k, h))
 
     c2 = comb(k, 2)
     b = InstanceBuilder()
@@ -373,12 +376,14 @@ def is_to_influence_decision(g: Graph, k: int, mode: str = "closed") -> ReducedI
     vertex-side independent set, and every independent set is closed.
 
     The decision bound ell is k for the closed variant and 0 for the open
-    variant.
+    variant.  A build of more than `BUILD_SIZE_LIMIT` vertices plus edges
+    is refused before it starts.
     """
     if mode not in ("open", "closed"):
         raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
     if not 0 <= k <= g.n:
         raise ValueError(f"k must lie in 0..{g.n}")
+    _check_build_size("is-decision", *_gap_build_size("min-closed", g, k, 0))
     b = InstanceBuilder()
     _incidence_layer(b, g, lambda v: 1, max(1, k - 1))
     return b.build(
@@ -413,7 +418,7 @@ def is_to_min_closed_influence(g: Graph, k: int, *, h: int = 1) -> ReducedInstan
     if not 1 <= k <= g.n:
         raise ValueError(f"k must lie in 1..{g.n}")
     params = GapParameters.with_h(k, h, "min-closed")
-    _check_build_size("min-closed", g, k, h)
+    _check_build_size("min-closed", *_gap_build_size("min-closed", g, k, h))
 
     b = InstanceBuilder()
     edge_vertex = _incidence_layer(b, g, lambda v: 1, max(1, k - 1))

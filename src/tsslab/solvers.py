@@ -5,12 +5,15 @@ seed sets cardinality-major, lexicographically within a cardinality, and
 keep one incumbent across cardinalities: a seed replaces it only when
 strictly better, so ties go to the smaller, then lexicographically
 smaller, seed.  `explored` counts the seed sets a scan ruled on.  For
-target-set and maximum-influence scans it is the lexicographic rank of
+target-set and maximum-influence scans it is the rank, in that order, of
 the seed where the scan stopped (the full count when it does not stop),
-every skipped subtree counted at its full size.  For minimum-influence
-scans it is the number of seeds evaluated, skipped subtrees excluded.
-No skip changes a value or a witness; each is proved in the docstring of
-the function that applies it:
+skipped subtrees included.  It follows from that one seed, so
+`_scan_rank` derives it once the scan ends, for `_search` and
+`optimal_target_set` alike, and no skip counts what it skips.  For
+minimum-influence scans it is the number of seeds evaluated, skipped
+subtrees excluded.  No skip changes a value, a witness or the seed where
+a scan stops; each is proved in the docstring of the function that
+applies it:
 
 - sibling dominance, the suffix-closure bound, the prefix bound and the
   singleton floor: `_search`;
@@ -24,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .instance import Instance
 from .propagation import Propagator
@@ -60,10 +63,10 @@ class SolveResult:
 def _search(
     inst: Instance,
     universe: Sequence[int],
-    sizes: Iterable[int],
+    sizes: Sequence[int],
     closed: bool,
     maximize: bool,
-) -> tuple[int | None, tuple[int, ...] | None, int]:
+) -> tuple[int, tuple[int, ...], int]:
     """Best influence over the seeds of each size in `sizes` (ascending)
     drawn from `universe`, as (best_value, best_seed, explored).
 
@@ -75,10 +78,13 @@ def _search(
     the best value.  With offset = c in open mode (0 in closed mode), the
     scan stops at the first seed reaching the stop value, n - offset for
     max and c - offset for min, which no later seed could beat or
-    tie-break.
+    tie-break.  The incumbent starts at a sentinel that the first value
+    always beats, -1 for max and n + 1 for min.  A max-goal scan's
+    `explored` is `_scan_rank` of the seed where it stopped.
 
-    A max-goal search skips two kinds of subtree, each counted at its full
-    size so that `explored` stays the lexicographic rank:
+    A max-goal search skips two kinds of subtree.  Neither holds a seed
+    strictly better than the incumbent or the seed where the scan stops,
+    so neither changes the result or `explored`:
 
     - Dominance.  At a node with prefix P, once the child v at universe
       index i has been searched in full without reaching the stop value,
@@ -107,54 +113,59 @@ def _search(
 
     A min-goal search, where the dominance inequality points the wrong
     way, skips two other kinds of subtree and leaves them out of
-    `explored`:
+    `explored`, the seeds it evaluated:
 
     - Prefix bound.  A closure only grows as seeds are added, so a prefix
       whose closure, less the offset, already reaches the best value holds
-      no strictly better seed.  Once there is an incumbent, a push stops
-      cascading when the active count reaches best + offset, and a leaf's
-      `gain` when its length reaches best - |cl(prefix)| + offset.  This
-      is exact: a stopped count already reaches the bound, as the full
-      closure would, so the child's prefix test prunes it and the leaf is
-      no improvement (it cannot reach the stop value either, which lies
-      below the best), while a cascade that does not stop is the full
-      one; pop_to restores everything a stopped push did.
-    - Singleton floor, from the first c >= 2 on.  A candidate v is skipped
-      unpushed when |cl({v})| - offset reaches the best value: every seed
-      holding v closes to a superset of cl({v}).  The table
-      (`_singleton_closures`) is built once per call; at c = 1 the leaf
-      evaluation is the singleton closure itself.
+      no strictly better seed.  A push stops cascading when the active
+      count reaches best + offset, and a leaf's `gain` when its length
+      reaches best - |cl(prefix)| + offset; at the n + 1 sentinel neither
+      limit can be reached.  This is exact: a stopped count already
+      reaches the bound, as the full closure would, so the child's prefix
+      test prunes it and the leaf is no improvement (it cannot reach the
+      stop value either, which lies below the best), while a cascade that
+      does not stop is the full one; pop_to restores everything a stopped
+      push did.
+    - Singleton floor.  A candidate v is skipped unpushed when
+      |cl({v})| - offset reaches the best value: every seed holding v
+      closes to a superset of cl({v}).  The table (`_singleton_closures`)
+      is built at each size c >= 2 (`k_influence` scans one size).  Below
+      that the floor is all zeros, where it never fires: every value is at
+      least 1 - offset, the seed counted in its own closure, and 0 - offset
+      is less.  At c = 1 the leaf evaluation is the singleton closure
+      itself.
     """
     prop = Propagator(inst)
     gain = prop.gain
     n = prop.n
-    best_v: int | None = None
-    best_seed: tuple[int, ...] | None = None
+    best_v = -1 if maximize else n + 1
+    best_seed: tuple[int, ...] = ()
+    stop: tuple[int, ...] | None = None
     explored = 0
     u = len(universe)
     combo: list[int] = []
-    floor: list[int] | None = None
+    floor = [0] * (n + 1)
     dominated: list[list[int]] = []
     nodes = 0
 
     def leaves(lo: int, hi: int, node: int, dom: list[int]) -> bool:
-        nonlocal best_v, best_seed, explored
+        nonlocal best_v, best_seed, stop, explored
         base = prop.active_count() - offset
         for i in range(lo, hi):
             v = universe[i]
             if maximize:
                 if dom[v] == node:
-                    explored += 1
                     continue
-            elif floor is not None and best_v is not None and floor[v] - offset >= best_v:
+            elif floor[v] - offset >= best_v:
                 continue
-            new = gain(v) if maximize or best_v is None else gain(v, best_v - base)
+            new = gain(v) if maximize else gain(v, best_v - base)
             explored += 1
             val = base + len(new)
-            if best_v is None or (val > best_v if maximize else val < best_v):
+            if val > best_v if maximize else val < best_v:
                 best_v = val
                 best_seed = (*combo, v)
             if val == stop_value:
+                stop = (*combo, v)
                 return True
             if maximize:
                 # Same stamps as an inner level: after the first child,
@@ -167,19 +178,19 @@ def _search(
         return False
 
     def rec(lo: int, hi: int, need: int) -> bool:
-        nonlocal nodes, explored
+        nonlocal nodes
         node = 0
         dom: list[int] = []
         if maximize:
             nodes += 1
             node = nodes
             dom = dominated[need - 1]
-        elif best_v is not None and prop.active_count() - offset >= best_v:
+        elif prop.active_count() - offset >= best_v:
             return False
         if need == 1:
             return leaves(lo, hi, node, dom)
         cut = hi
-        if maximize and best_v is not None:
+        if maximize:
             # Suffix-closure bound: no seed under a child from `cut` on
             # closes to more than `limit`.
             limit = min(best_v, stop_value - 1) + offset
@@ -195,11 +206,10 @@ def _search(
             v = universe[i]
             if maximize:
                 if dom[v] == node:
-                    explored += comb(u - i - 1, need - 1)
                     continue
-            elif floor is not None and best_v is not None and floor[v] - offset >= best_v:
+            elif floor[v] - offset >= best_v:
                 continue
-            token = prop.push_one(v, None if maximize or best_v is None else best_v + offset)
+            token = prop.push_one(v, None if maximize else best_v + offset)
             combo.append(v)
             halt = rec(i + 1, u - need + 2, need - 1)
             combo.pop()
@@ -211,7 +221,6 @@ def _search(
             prop.pop_to(token)
             if halt:
                 return True
-        explored += comb(u - cut, need)  # 0 when nothing was cut
         return False
 
     for c in sizes:
@@ -220,19 +229,19 @@ def _search(
         if c == 0:
             # Sizes ascend, so the empty seed is the first one ruled on.
             explored += 1
-            best_v, best_seed = 0, ()
-            if stop_value == 0:
-                break
+            best_v = 0
             continue
         if maximize:
             dominated.extend([0] * (n + 1) for _ in range(len(dominated), c))
-        elif c >= 2 and floor is None:
+        elif c >= 2:
             floor = _singleton_closures(inst, universe)
         if rec(0, u - c + 1, c):
             break
     # rec reaches itself through its closure cell; clearing it frees the
     # scan's state now rather than at the next cyclic collection.
     del rec
+    if maximize:
+        explored = _scan_rank(universe, sizes, stop)
     return best_v, best_seed, explored
 
 
@@ -294,14 +303,17 @@ def _candidates(inst: Instance) -> list[int]:
     So a size with no target set over the candidates has none at all, and
     at the least size the first target set over the candidates in id order
     is the first over all vertices.  At size 1 it is {a} for the first
-    vertex a whose closure is every vertex, so the walk returns [a] there.
+    vertex a whose closure is every vertex, so the walk returns [a] there;
+    at size 0 it is the empty seed, only when there are no vertices, and
+    then no candidates either.
 
     One Propagator walks the ids in ascending order, asks `gain(a)` of
     each vertex a not yet marked, and marks all of cl({a}).  Before its
     turn a vertex can be marked only by a smaller one, so an unmarked
     vertex is a candidate.  If b is in cl({a}) for some a < b, the least
     such a is unmarked (a smaller vertex closing to a would close to b),
-    so it is walked and marks b.
+    so it is walked and marks b.  So every vertex is a candidate or in the
+    closure of one, and the candidates are a target set.
     """
     prop = Propagator(inst)
     n = inst.n
@@ -329,6 +341,19 @@ def _lex_rank(n: int, seed: Sequence[int]) -> int:
     return comb(n, c) - sum(comb(n - v, c - i) for i, v in enumerate(seed))
 
 
+def _scan_rank(universe: Sequence[int], sizes: Sequence[int], stop: Sequence[int] | None) -> int:
+    """Rank, from 1, of the seed `stop` (in universe order) among the
+    subsets of `universe` whose sizes are in the ascending `sizes`, in the
+    module docstring's order: every smaller size counts in full, then the
+    `_lex_rank` of its 1-based universe positions.  With no stop, the full
+    count."""
+    u = len(universe)
+    below = sum(comb(u, c) for c in sizes if stop is None or c < len(stop))
+    if stop is None:
+        return below
+    return below + _lex_rank(u, [universe.index(v) + 1 for v in stop])
+
+
 def optimal_target_set(inst: Instance, size_cap: int | None = None) -> SolveResult:
     """Smallest target set, by exhaustive cardinality-major search.
 
@@ -336,34 +361,29 @@ def optimal_target_set(inst: Instance, size_cap: int | None = None) -> SolveResu
     size <= size_cap exists the result carries no seed and optimal=False;
     a negative size_cap raises ValueError.
 
-    Each size is ruled out on the candidates (`_candidates`), largest
-    closure first; at the first size with a target set, the candidates are
-    scanned again in id order for the witness.  `explored` is that of the
-    scan over all vertices: every size ruled out counts in full, and the
-    witness's size adds its lexicographic rank (`_lex_rank`).
+    By the lemma of `_candidates`, with K the candidates, no size below
+    min(|K|, 2) holds a target set, and at size |K| the witness is K
+    itself.  Each size in between is ruled out on K, largest closure
+    first; at the first size with a target set, K is scanned again in id
+    order for the witness.  `explored` is that of the scan over all
+    vertices and all sizes up to the cap: `_scan_rank` of the witness, or
+    the full count when there is none.
     """
     if size_cap is not None and size_cap < 0:
         raise ValueError("size_cap must be nonnegative")
     n = inst.n
-    cap = n if size_cap is None else min(size_cap, n)
-    explored = 1  # the empty seed, a target set only when there are no vertices
-    if n == 0:
-        return SolveResult("target-set", frozenset(), 0, True, explored)
-    if cap == 0:
-        return SolveResult("target-set", None, None, False, explored)
+    sizes = range((n if size_cap is None else min(size_cap, n)) + 1)
     cands = _candidates(inst)
-    if len(cands) == 1:
-        # By the lemma a lone candidate is the first target singleton; its
-        # rank among the size-1 seeds is its id.
-        return SolveResult("target-set", frozenset(cands), 1, True, explored + cands[0])
-    explored += n
-    for c in range(2, cap + 1):
-        if _search(inst, cands, (c,), True, True)[0] == n:
-            seed = _search(inst, sorted(cands), (c,), True, True)[1]
-            explored += _lex_rank(n, seed)
-            return SolveResult("target-set", frozenset(seed), c, True, explored)
-        explored += comb(n, c)
-    return SolveResult("target-set", None, None, False, explored)
+    seed = None
+    for c in sizes[min(len(cands), 2) :]:
+        if c == len(cands) or _search(inst, cands, (c,), True, True)[0] == n:
+            order = sorted(cands)
+            seed = order if c == len(cands) else _search(inst, order, (c,), True, True)[1]
+            break
+    explored = _scan_rank(range(1, n + 1), sizes, seed)
+    if seed is None:
+        return SolveResult("target-set", None, None, False, explored)
+    return SolveResult("target-set", frozenset(seed), len(seed), True, explored)
 
 
 def k_influence(
@@ -413,7 +433,6 @@ def k_influence(
         )
 
     value, seed, explored = _search(inst, uni, sizes, mode == "closed", goal == "max")
-    assert value is not None and seed is not None
     return SolveResult(
         "k-influence",
         frozenset(seed),

@@ -2,13 +2,16 @@ import hashlib
 import inspect
 import re
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import tsslab
 from tsslab import verify
+from tsslab.circuits import build_circuit, write_circuit
 from tsslab.cli import _VERIFY_FLAGS, SOLVE_PROBLEMS, build_parser, main
+from tsslab.instance import Graph, Instance, write_instance
 
 TWO_PATH = "tss 2 1\nt 1 1\nt 2 1\ne 1 2\n"
 
@@ -393,6 +396,32 @@ def test_reduce_oversized_padding_exits_2_at_once(tmp_path, capsys, name, flags,
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {' '.join(flags)}: ") and message in err
+    assert not out.exists()
+
+
+def oversized_source(name):
+    """A 300-input OR gate, a threshold-3 star of 250 leaves and K100: each
+    asks for over 10^6 vertices plus edges from its reduction."""
+    if name == "mcs":
+        return write_circuit(build_circuit(["input"] * 300 + ["or"], [()] * 300 + [range(1, 301)]))
+    if name == "thresholds-to-two":
+        star = Graph(251, [(1, v) for v in range(2, 252)])
+        return write_instance(Instance(star, [3] + [1] * 250))
+    return write_instance(Instance(Graph(100, list(combinations(range(1, 101), 2))), [1] * 100))
+
+
+@pytest.mark.parametrize("name", ["mcs", "thresholds-to-two", "is-decision"])
+def test_reduce_oversized_build_exits_2_at_once(tmp_path, capsys, name):
+    # Bounded at 1 s, the reading of the input included.
+    k = ["-k", "100"] if name == "is-decision" else []
+    src = tmp_path / "source"
+    src.write_text(oversized_source(name))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["reduce", name, "-i", str(src), *k, "-o", str(out)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the {name} build would have ") and "above the budget" in err
     assert not out.exists()
 
 

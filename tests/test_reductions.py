@@ -6,13 +6,15 @@ from itertools import combinations
 import pytest
 
 from tsslab.circuits import build_circuit, evaluate, min_weight_satisfying
-from tsslab.instance import Graph
+from tsslab.gadgets import _threshold_build_size, reduce_thresholds_to_two
+from tsslab.instance import Graph, Instance
 from tsslab.propagation import activate, influence, is_target_set
 from tsslab.reductions import (
     BUILD_SIZE_LIMIT,
     BuildSizeError,
     GapParameters,
     _gap_build_size,
+    _mcs_build_size,
     choose_gap_padding,
     clique_to_max_influence,
     is_to_influence_decision,
@@ -22,7 +24,7 @@ from tsslab.reductions import (
     rho_preset,
 )
 from tsslab.solvers import k_influence, optimal_target_set
-from tsslab.verify import has_independent_set, naive_closure, random_graph
+from tsslab.verify import has_independent_set, naive_closure, random_circuit, random_graph
 
 
 def two_level_circuit():
@@ -444,3 +446,52 @@ def test_gap_build_budget_edge():
     assert sum(_gap_build_size("min-closed", g, 2, h)) <= BUILD_SIZE_LIMIT
     with pytest.raises(BuildSizeError):
         is_to_min_closed_influence(g, 2, h=h + 1)
+
+
+def or_circuit(inputs):
+    return build_circuit(["input"] * inputs + ["or"], [()] * inputs + [tuple(range(1, inputs + 1))])
+
+
+def star_of_threshold_three(leaves):
+    g = Graph(leaves + 1, [(1, v) for v in range(2, leaves + 2)])
+    return Instance(g, [3] + [1] * leaves)
+
+
+def test_builder_sizes_count_the_built_instance():
+    # Random circuits (one-input ones included), and random graphs with
+    # isolated vertices and thresholds up to deg + 2, against the builds
+    # the formulas describe.  Bounded at 5 s; it takes about 0.1 s.
+    start = time.perf_counter()
+    rng = random.Random(27)
+    for _ in range(80):
+        circ = random_circuit(rng, 4, 4)
+        inst = mcs_to_tss(circ).instance
+        assert _mcs_build_size(circ) == (inst.n, inst.m), circ
+        g = random_graph(rng, rng.randint(1, 9), rng.random())
+        k = rng.randint(0, g.n)
+        inst = is_to_influence_decision(g, k, rng.choice(("open", "closed"))).instance
+        assert _gap_build_size("min-closed", g, k, 0) == (inst.n, inst.m), (g.edges, k)
+        source = Instance(g, [rng.randint(1, g.degree(v) + 2) for v in range(1, g.n + 1)])
+        inst = reduce_thresholds_to_two(source).instance
+        assert _threshold_build_size(source) == (inst.n, inst.m), (g.edges, source.thr)
+    assert _mcs_build_size(or_circuit(300)) == (723_001, 1_083_600)
+    assert time.perf_counter() - start < 5
+
+
+OVERSIZED_BUILDS = {
+    # 723,001 vertices and 1,083,600 edges.
+    "mcs": lambda: mcs_to_tss(or_circuit(300)),
+    # 562,755 vertices and 750,006 edges, nearly all in the centre's grid.
+    "thresholds-to-two": lambda: reduce_thresholds_to_two(star_of_threshold_three(250)),
+    # 490,150 vertices and 980,100 edges: 99 copies of each of 4,950 edges.
+    "is-decision": lambda: is_to_influence_decision(k_complete(100), 100),
+}
+
+
+@pytest.mark.parametrize("name", OVERSIZED_BUILDS)
+def test_builders_refuse_oversized_builds_at_once(name):
+    # Bounded at 1 s.
+    start = time.perf_counter()
+    with pytest.raises(BuildSizeError, match=f"the {name} build would have .* above the budget"):
+        OVERSIZED_BUILDS[name]()
+    assert time.perf_counter() - start < 1

@@ -19,6 +19,7 @@ from tsslab.reductions import (
 from tsslab.solvers import (
     _candidates,
     _lex_rank,
+    _scan_rank,
     _search,
     _singleton_closures,
     greedy_target_set,
@@ -486,6 +487,23 @@ def test_lex_rank_counts_combinations_in_order():
                 assert _lex_rank(n, seed) == rank, (n, seed)
 
 
+def test_scan_rank_counts_seeds_cardinality_major():
+    # For n <= 7, every set of sizes and a universe in id order and one out
+    # of it: a stop at every seed, the empty seed included, has its rank in
+    # the cardinality-major order, and no stop gives the full count.
+    # Bounded at 3 s; it takes about 0.3 s.
+    start = time.perf_counter()
+    for n in range(8):
+        for universe in (range(1, n + 1), [*range(2, n + 1, 2), *range(1, n + 1, 2)]):
+            for mask in range(1, 2 ** (n + 1)):
+                sizes = [c for c in range(n + 1) if mask >> c & 1]
+                order = [s for c in sizes for s in combinations(universe, c)]
+                for rank, seed in enumerate(order, start=1):
+                    assert _scan_rank(universe, sizes, seed) == rank, (universe, sizes, seed)
+                assert _scan_rank(universe, sizes, None) == len(order), (universe, sizes)
+    assert time.perf_counter() - start < 3
+
+
 def test_kernel_target_scan_matches_lexicographic_scan():
     # Instances whose optimum is at least 2, where the kernel decides the
     # cardinalities below it; every cap from 0 to 3.
@@ -729,6 +747,40 @@ def test_min_goal_results_are_pinned():
                 r = k_influence(inst, k, mode, "min")
                 digest.update(repr((r.value, sorted(r.seed), r.explored)).encode())
     assert digest.hexdigest() == MIN_GOAL_DIGEST
+
+
+# sha256 of every (value, witness, explored, optimal) of
+# test_max_goal_and_target_set_results_are_pinned, recorded before `explored`
+# was derived from the seed where a scan stopped.
+MAX_AND_TARGET_DIGEST = "a913d485ccd2ce755ecf14cfacfae62f5e7deb4a04673f5ad4d528deb6757564"
+
+
+def test_max_goal_and_target_set_results_are_pinned():
+    # Max-goal scans in both modes for every k <= 4, plus one restricted
+    # universe each; target-set scans at caps None, 0, 1 and 2 on the same
+    # instances and on every 8th criterion-2 compilation.  Bounded at 3 s;
+    # it takes about 0.3 s.
+    start = time.perf_counter()
+    rng = random.Random(2727)
+    cases = [random_instance(rng, 12) for _ in range(150)] + list(EMPTY_AND_EDGELESS)
+    digest = hashlib.sha256()
+
+    def record(r):
+        seed = None if r.seed is None else sorted(r.seed)
+        digest.update(repr((r.value, seed, r.explored, r.optimal)).encode())
+
+    for inst in cases:
+        universe = rng.sample(range(1, inst.n + 1), rng.randint(0, inst.n))
+        for mode in ("open", "closed"):
+            for k in range(min(4, inst.n) + 1):
+                record(k_influence(inst, k, mode, "max"))
+            record(k_influence(inst, min(4, len(universe)), mode, "max", universe=universe))
+        for cap in (None, 0, 1, 2):
+            record(optimal_target_set(inst, cap))
+    for circ in enumerate_small_circuits(3, 3)[::8]:
+        record(optimal_target_set(mcs_to_tss(circ).instance))
+    assert digest.hexdigest() == MAX_AND_TARGET_DIGEST
+    assert time.perf_counter() - start < 3
 
 
 # scan state freed on return ------------------------------------------------
